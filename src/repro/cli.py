@@ -123,14 +123,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise ImpreciseError("--text requires --aggregate")
     if args.all and args.glob is not None:
         raise ImpreciseError("pass either --all or --glob PATTERN, not both")
-    if args.allow_partial and args.deadline_ms is None:
-        raise ImpreciseError("--allow-partial requires --deadline-ms")
     if args.all or args.glob is not None:
         return _run_search(args, queries)
     if args.fusion is not None or args.rrf_k is not None:
         raise ImpreciseError("--fusion/--rrf-k require --all or --glob")
-    if args.deadline_ms is not None:
-        raise ImpreciseError("--deadline-ms requires --all or --glob")
+    if args.deadline_ms is not None or args.allow_partial:
+        raise ImpreciseError(
+            "--deadline-ms/--allow-partial require --all or --glob"
+        )
     document = _load_pxml(args.document)
     if args.aggregate:
         if args.batch:

@@ -365,6 +365,8 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         self.busy_retries = 0
         self.recoveries = 0
         self._recovering = False
+        #: Set by :meth:`close`; every later operation raises typed.
+        self._closed = False
         self._inode: Optional[int] = None
         #: Pending recency updates, (name, doc_digest, plan_digest) ->
         #: stamp.  Bounded stores buffer hit recency here instead of
@@ -510,7 +512,15 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         (corrupt) inode.  Every public operation therefore stats the
         path first and reconnects when the backing inode changed or
         vanished — the sibling never quarantines the healthy
-        replacement, it simply joins it (counted as a recovery)."""
+        replacement, it simply joins it (counted as a recovery).
+
+        Being the one funnel every public operation but :meth:`close`
+        passes through, this is also where a closed store refuses work
+        with :class:`~repro.errors.StoreError` — instead of the driver's
+        raw ``ProgrammingError``, and before a file swap could reopen
+        the connection :meth:`close` released."""
+        if self._closed:
+            raise StoreError(f"answer cache at {self.path} is closed")
         try:
             inode: Optional[int] = os.stat(self.path).st_ino
         except OSError:
@@ -1075,14 +1085,18 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         """Persist pending recency stamps and close the connection
         (idempotent).  Contention on the final flush is tolerated — the
         stamps are recency hygiene, not correctness — so a close() racing
-        N sibling processes never raises."""
+        N sibling processes never raises.  Every later operation raises
+        :class:`~repro.errors.StoreError`."""
         with self._lock:
+            if self._closed:
+                return
+            self._closed = True
             try:
                 if self._touches:
                     self._write_txn_locked(self._flush_touches_locked)
                     self._touches.clear()
             except sqlite3.DatabaseError:
-                pass  # already closed, or corrupt: stamps are hygiene only
+                pass  # corrupt: stamps are hygiene only
             # impreciselint: disable=no-swallow -- close() is best-effort by contract; recency stamps are expendable
             except CacheBusyError:
                 pass  # recency stamps are expendable; close regardless

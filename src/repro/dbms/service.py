@@ -44,12 +44,9 @@ Serving discipline:
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
 from collections import OrderedDict
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -137,7 +134,6 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         cache_dir: Optional[Union[str, Path]] = None,
         max_cached_documents: Optional[int] = None,
         cache_max_rows: Optional[int] = None,
-        fanout_workers: Optional[int] = None,
         literal_table: Optional[LiteralProbabilityTable] = None,
     ):
         if store is not None and directory is not None:
@@ -163,9 +159,8 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         #: The cross-document literal/small-conjunction row store every
         #: engine this service builds prices through (see
         #: :class:`~repro.pxml.events_compile.LiteralProbabilityTable`)
-        #: — the process-shared table unless an explicit one is passed.
-        #: One instance is threaded through the whole fan-out pool, so N
-        #: workers pricing one compiled plan over N documents share rows.
+        #: — the process-shared table unless an explicit one is passed,
+        #: so pricing one compiled plan over N documents shares rows.
         self.literal_table: LiteralProbabilityTable = (
             literal_table if literal_table is not None
             else shared_literal_table()
@@ -177,13 +172,6 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         self._max_engines = self.store.max_cached
         self._mu = threading.Lock()
         self._shards = [threading.RLock() for _ in range(_SERVICE_SHARDS)]
-        if fanout_workers is not None and fanout_workers < 1:
-            raise StoreError(
-                f"fanout_workers must be >= 1, got {fanout_workers}"
-            )
-        self._fanout_workers = fanout_workers
-        self._pool: Optional[ThreadPoolExecutor] = None  # lazy; see _fanout_pool
-        self._closed = False
         #: Persistent-cache writes absorbed under pathological write-lock
         #: contention (see :meth:`_cache_put_guarded`): each one cost
         #: warmth (the answer was served uncached), never the request.
@@ -212,8 +200,8 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
             document = certain_document(document)
         # Stamp the service's cross-document table on the document's
         # shared cache before the engine adopts it: every engine this
-        # service builds — including the fan-out pool's workers — then
-        # prices literals and small conjunctions through one row store.
+        # service builds then prices literals and small conjunctions
+        # through one row store.
         cache = cache_for(document)
         cache.literal_table = self.literal_table
         engine = QueryEngine(document, cache=cache)
@@ -268,119 +256,43 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
             )
         return plan, plan.fingerprint_digest
 
-    def _fanout_pool(self) -> ThreadPoolExecutor:
-        """The lazily-created thread pool fan-outs price documents on
-        (created on first :meth:`query_all`/:meth:`aggregate_all`, shut
-        down by :meth:`close`).
-
-        Raises :class:`StoreError` after :meth:`close` — silently
-        recreating the pool would leak threads past the lifecycle the
-        caller thought it had ended."""
-        with self._mu:
-            if self._closed:
-                raise StoreError(
-                    "DataspaceService is closed; fan-out is no longer available"
-                )
-            if self._pool is None:
-                workers = self._fanout_workers
-                if workers is None:
-                    workers = min(32, (os.cpu_count() or 1) + 4)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="dataspace-fanout"
-                )
-            return self._pool
-
     @staticmethod
-    def _collect_fanout(
-        futures: Sequence[tuple[str, "Future"]]
-    ) -> dict:
-        """Drain a fan-out with error containment.
-
-        Futures are resolved in submission (pinned sorted-name) order.
-        On the first failure every not-yet-started future is cancelled
-        and every already-running one is *awaited* before the error
-        propagates — no priced-but-orphaned work keeps running behind
-        the caller's back, and the surfaced error is deterministically
-        the first failing document in name order regardless of which
-        future happened to finish first.
-        """
-        results: dict = {}
-        first_error: Optional[BaseException] = None
-        for name, future in futures:
-            if first_error is not None:
-                # No-op for futures already running; result() below then
-                # waits for them, so nothing outlives this call.
-                future.cancel()
-            try:
-                results[name] = future.result()
-            except CancelledError:
-                continue
-            # impreciselint: disable=no-swallow -- captured into first_error and re-raised after the drain loop
-            except Exception as error:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        return results
-
-    @staticmethod
-    def _collect_fanout_bounded(
-        futures: Sequence[tuple[str, "Future"]],
-        deadline: Deadline,
+    def _fan_out(
+        names: Sequence[str],
+        price: Callable[[str], object],
+        deadline: Optional[Deadline],
         allow_partial: bool,
         *,
         what: str,
-    ) -> tuple[dict, tuple]:
-        """Drain a fan-out against a deadline.
-
-        Like :meth:`_collect_fanout` but each wait is capped at the
-        budget's remainder.  Once the budget expires, not-yet-started
-        futures are cancelled and running stragglers are *abandoned*,
-        not awaited — they carry the same deadline on their own threads,
-        so their engine checkpoints terminate them promptly; blocking on
-        them here would turn a bounded request into an unbounded one.
-        Documents that finished in budget are kept either way; without
-        ``allow_partial`` any omission raises the typed error.
-        """
+    ) -> tuple[dict, tuple[str, ...]]:
+        """Price ``names`` in order on the calling thread, with
+        ``deadline`` active for the whole loop; returns the finished
+        results by name and the omitted tail (the contract is
+        :meth:`query_all`'s)."""
         results: dict = {}
-        omitted: list = []
-        expired = deadline.expired()
-        for name, future in futures:
-            if expired and not future.done():
-                future.cancel()
-                omitted.append(name)
-                continue
-            try:
-                results[name] = future.result(
-                    timeout=max(deadline.remaining_seconds(), 0.0)
-                )
-            except CancelledError:
-                omitted.append(name)
-            except FuturesTimeout:
-                future.cancel()  # a running straggler self-terminates
-                omitted.append(name)
-                expired = True
-            # impreciselint: disable=no-swallow -- converted to the collective typed raise below (omitted bookkeeping)
-            except DeadlineExceededError:
-                omitted.append(name)
-                expired = True
-            except Exception:
-                # A real (non-timing) failure outranks partial results:
-                # stop the rest and surface it, as _collect_fanout does.
-                for _, pending in futures:
-                    pending.cancel()
-                raise
-        if omitted and not allow_partial:
+        with active(deadline):
+            for index, name in enumerate(names):
+                try:
+                    if deadline is not None:
+                        deadline.check()
+                    results[name] = price(name)
+                # impreciselint: disable=no-swallow -- the expiry becomes the omitted tail; raised typed below unless allow_partial keeps the finished prefix
+                except DeadlineExceededError as error:
+                    expired, omitted = error, tuple(names[index:])
+                    break
+            else:
+                return results, ()
+        if not allow_partial:
             raise DeadlineExceededError(
-                f"{what}: deadline of {deadline.budget_ms}ms exceeded with"
-                f" {len(omitted)} of {len(futures)} documents unfinished"
-            )
-        if omitted and not results:
+                f"{what}: {expired} with {len(omitted)} of {len(names)}"
+                " documents unfinished"
+            ) from expired
+        if not results:
             raise DeadlineExceededError(
-                f"{what}: deadline of {deadline.budget_ms}ms exceeded before"
-                f" any of {len(futures)} documents finished"
-            )
-        return results, tuple(omitted)
+                f"{what}: {expired} before any of {len(names)} documents"
+                " finished"
+            ) from expired
+        return results, omitted
 
     def _select_names(
         self,
@@ -651,31 +563,33 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         answers into a single ranked result (ROADMAP item 2: querying
         the dataspace *as a whole*).
 
-        ``deadline=`` bounds the whole fan-out end-to-end: per-document
-        workers carry the same budget (their engine checkpoints stop
-        stragglers), and when it expires the call either raises the
-        typed :class:`DeadlineExceededError` or — with
-        ``allow_partial=True`` — returns the fusion of the documents
-        that finished, with the unfinished names recorded in the
-        answer's ``omitted`` marker (``FusedAnswer.partial`` is then
-        true).  Every per-document answer that *is* fused remains exact.
-
         The membership is the whole store by default, or ``names=``
         (explicit list) / ``glob=`` (shell-style pattern, see
         :meth:`DocumentStore.glob`) — always resolved to the pinned
         sorted order, so fused ranks are reproducible across platforms
-        and argument orders.  The plan is compiled **once** and each
-        document is priced through the full serving stack —
-        per-document persistent rows hit lock-free in parallel on the
-        fan-out thread pool; misses price through the shared engines —
-        so a warm fan-out touches no engine at all.  Cold misses share
-        the service's cross-document ``literal_table`` across the pool:
-        literal and small-conjunction rows derived while pricing one
-        document resolve by value for every other document in the
-        fan-out instead of being re-derived per document.  Fusion
-        semantics
-        (``strategy``, ``weights``, ``rrf_k``) are
-        :func:`repro.query.fusion.fuse_answers`.
+        and argument orders.  The plan is compiled **once** and the
+        documents are priced one after another on the calling thread,
+        each through the full serving stack (:meth:`query`): persistent
+        rows hit without touching an engine, misses price through the
+        shared engines and the service's cross-document
+        ``literal_table``.  The first per-document error propagates at
+        once and no later document is priced.  Parallelism belongs to
+        the serving tier (threads and worker processes), not to one
+        request.  Fusion semantics (``strategy``, ``weights``,
+        ``rrf_k``) are :func:`repro.query.fusion.fuse_answers`.
+
+        ``deadline=`` bounds the whole fan-out end to end: it is active
+        on this thread for the loop, checked before each document and
+        inside pricing.  The document that runs out of budget and every
+        document after it in name order are unfinished.  The call then
+        raises the typed :class:`DeadlineExceededError`, or — with
+        ``allow_partial=True`` — returns the fusion of the finished
+        prefix, with the unfinished tail recorded in the answer's
+        ``omitted`` marker (``FusedAnswer.partial`` is then true) and
+        the prior renormalized over the finished documents.  If no
+        document finished it raises the typed error.  Every fused
+        per-document answer remains exact.  ``allow_partial`` without
+        a ``deadline`` raises :class:`~repro.errors.QueryError`.
 
         >>> service = DataspaceService()
         >>> service.load("a", "<r><x>1</x></r>")
@@ -685,42 +599,29 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
 
         Fraction-identical to fusing serial :meth:`query` calls.
         """
+        if allow_partial and deadline is None:
+            raise QueryError("query_all: allow_partial requires a deadline")
         selected = self._select_names(names, glob, what="query_all")
-        if deadline is not None:
-            deadline.check()
-        plan, _ = self._plan_and_digest(expression)
-        if plan is None:
-            # Persistent plan-memo hit: the digest is known but the
-            # fan-out still wants one shared compiled plan object.
-            plan = compile_plan(expression)
-        pool = self._fanout_pool()
-        # Keep the unbounded call shape kwarg-free so test doubles (and
-        # subclasses) that shim ``query(name, plan)`` stay compatible.
-        futures = [
-            (
-                name,
-                pool.submit(self.query, name, plan)
-                if deadline is None
-                else pool.submit(self.query, name, plan, deadline=deadline),
-            )
-            for name in selected
-        ]
-        if deadline is None:
-            answers = self._collect_fanout(futures)
-            omitted: tuple = ()
-        else:
-            answers, omitted = self._collect_fanout_bounded(
-                futures, deadline, allow_partial, what="query_all"
-            )
-            if omitted and weights is not None:
-                # The prior renormalizes over the documents that
-                # finished; a weight naming an omitted document would
-                # otherwise be rejected as unknown to the fusion.
-                weights = {
-                    name: value
-                    for name, value in weights.items()
-                    if name in answers
-                }
+        plan = compile_plan(expression)
+        # The deadline travels as the active one, not as a keyword, so
+        # test doubles (and subclasses) that shim ``query(name, plan)``
+        # stay compatible.
+        answers, omitted = self._fan_out(
+            selected,
+            lambda name: self.query(name, plan),
+            deadline,
+            allow_partial,
+            what="query_all",
+        )
+        if omitted and weights is not None:
+            # The prior renormalizes over the documents that finished; a
+            # weight naming an omitted document would otherwise be
+            # rejected as unknown to the fusion.
+            weights = {
+                name: value
+                for name, value in weights.items()
+                if name in answers
+            }
         fused = fuse_answers(
             answers, strategy=strategy, weights=weights, rrf_k=rrf_k
         )
@@ -742,13 +643,16 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         mixture distribution under the per-document prior (see
         :func:`repro.query.fusion.fuse_aggregates`).
 
-        The spec is compiled once; each document goes through
-        :meth:`aggregate`'s serving discipline (persistent aggregate
-        rows hit lock-free) on the fan-out pool.  ``deadline=`` bounds
-        the fan-out; expiry raises the typed error — there is no partial
-        mode here, because a mixture silently renormalized over a subset
-        of documents would *misrepresent* the distribution rather than
-        degrade it visibly.
+        The spec is compiled once; the documents go one after another
+        on the calling thread through :meth:`aggregate`'s serving
+        discipline (persistent aggregate rows hit lock-free), and the
+        first error propagates at once.  ``deadline=`` bounds the
+        fan-out as in :meth:`query_all`; expiry raises the typed error.
+        A convolution has no checkpoint of its own, so the call can
+        overrun by one document's convolution, as :meth:`aggregate`
+        can.  There is no partial mode here, because a mixture silently
+        renormalized over a subset of documents would *misrepresent*
+        the distribution rather than degrade it visibly.
 
         >>> service = DataspaceService()
         >>> service.load("a", "<r><p>1</p></r>")
@@ -757,8 +661,6 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         {1: Fraction(1, 2), 2: Fraction(1, 2)}
         """
         selected = self._select_names(names, glob, what="aggregate_all")
-        if deadline is not None:
-            deadline.check()
         if isinstance(kind, AggregateSpec):
             if target is not None or text is not None:
                 raise QueryError(
@@ -768,24 +670,13 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
             spec = kind
         else:
             spec = compile_aggregate(kind, target, text=text)
-        pool = self._fanout_pool()
-        futures = [
-            (
-                name,
-                pool.submit(self.aggregate, name, spec)
-                if deadline is None
-                else pool.submit(
-                    self.aggregate, name, spec, deadline=deadline
-                ),
-            )
-            for name in selected
-        ]
-        if deadline is None:
-            distributions = self._collect_fanout(futures)
-        else:
-            distributions, _ = self._collect_fanout_bounded(
-                futures, deadline, allow_partial=False, what="aggregate_all"
-            )
+        distributions, _ = self._fan_out(
+            selected,
+            lambda name: self.aggregate(name, spec),
+            deadline,
+            False,
+            what="aggregate_all",
+        )
         return fuse_aggregates(distributions, weights=weights)
 
     def aggregate(
@@ -951,17 +842,10 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         return stats
 
     def close(self) -> None:
-        """Release the persistent cache connection and the fan-out
-        thread pool.  Idempotent — a second :meth:`close` is a no-op;
-        a :meth:`query_all`/:meth:`aggregate_all` *after* close raises
-        :class:`StoreError` instead of silently resurrecting the pool."""
-        with self._mu:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release the persistent cache connection.  Idempotent — a
+        second :meth:`close` is a no-op; any later call that needs the
+        cache raises :class:`StoreError` (see
+        :meth:`AnswerCacheStore.close`)."""
         if self.cache is not None:
             self.cache.close()
 

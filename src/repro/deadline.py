@@ -4,24 +4,24 @@ A :class:`Deadline` is an absolute point on the monotonic clock; every
 layer of the serving stack measures against the same instance, so the
 budget is end-to-end rather than per-hop: the HTTP front parses
 ``deadline_ms`` into a deadline, :class:`~repro.dbms.service.
-DataspaceService` threads it through its fan-out, and the query engine
-polls :func:`checkpoint` from its evaluation loops.  When the budget
-expires, the checkpoint raises the typed
+DataspaceService` activates it for a query or a whole fan-out, and
+both the engine's tree walk and the probability kernel's worklist
+(:func:`repro.pxml.events.event_probability`) poll :func:`checkpoint`.
+When the budget expires, the checkpoint raises the typed
 :class:`~repro.errors.DeadlineExceededError` — evaluation stops at the
-next loop iteration instead of running to completion, so a straggler
-cancelled by the fan-out actually releases its thread.
+next loop iteration instead of running to completion.
 
 Propagation is **thread-local** (:func:`active` / :func:`current`), not
-a parameter threaded through every engine call: one query evaluates
-entirely on one executor thread, so the engine's hot loops can stay
-signature-stable while still honouring the budget.  Crossing a thread
-boundary (the service's fan-out pool) is explicit — the submitting side
-passes the ``Deadline`` object and the worker re-activates it.
+a parameter threaded through every engine call: a request evaluates
+entirely on the thread that serves it — a fan-out prices its documents
+one after another on that thread — so the hot loops can stay
+signature-stable while still honouring the budget.
 
 Deadlines bound *time*, never *precision*: a request either finishes
 with the exact answer, is cut off with the typed error, or (under
 ``allow_partial``) yields a fused answer over the documents that
-finished — each of those per-document answers is itself exact.
+finished before the budget ran out — each of those per-document
+answers is itself exact.
 
 This module deliberately measures in monotonic seconds (floats) — it is
 a scheduling concern, not probability arithmetic, and is therefore
@@ -74,10 +74,6 @@ class Deadline:
             raise ValueError(f"deadline_ms must be positive, got {budget_ms!r}")
         return cls(time.monotonic() + budget_ms / 1000.0, budget_ms)
 
-    def remaining_seconds(self) -> float:
-        """Seconds left in the budget (negative once expired)."""
-        return self.expires_at - time.monotonic()
-
     def expired(self) -> bool:
         """Whether the budget has run out."""
         return time.monotonic() >= self.expires_at
@@ -90,7 +86,7 @@ class Deadline:
             )
 
     def __repr__(self) -> str:
-        remaining = self.remaining_seconds()
+        remaining = self.expires_at - time.monotonic()
         return f"Deadline({self.budget_ms}ms, {remaining * 1000.0:+.1f}ms left)"
 
 
@@ -115,8 +111,7 @@ def active(deadline: Optional[Deadline]) -> Iterator[None]:
     of the ``with`` block (``None`` deactivates, restoring on exit).
 
     Re-entrant: the previous deadline is restored when the block ends,
-    so nested scopes (a fan-out worker running under the request's
-    deadline) compose.
+    so nested scopes compose.
     """
     previous = _ACTIVE.deadline
     _ACTIVE.deadline = deadline

@@ -125,11 +125,12 @@ class DeadlineExceededError(ImpreciseError):
     before evaluation finishes.
 
     A distinct type so every layer can classify without string matching:
-    the engine raises it from its evaluation checkpoints, the service
-    fan-out raises it when stragglers outlive the budget (unless the
-    caller opted into a partial fused answer), the HTTP front maps it to
-    504 Gateway Timeout, and :class:`~repro.server.client.DataspaceClient`
-    re-raises the 504 as this same type.  Deadline expiry is a property
+    the engine and the probability kernel raise it from their
+    checkpoints, the service fan-out raises it when a document runs out
+    of budget (unless the caller opted into a partial fused answer), the
+    HTTP front maps it to 504 Gateway Timeout, and
+    :class:`~repro.server.client.DataspaceClient` re-raises the 504 as
+    this same type.  Deadline expiry is a property
     of the *request*, never of the data — retrying with a larger budget
     is always safe and always exact."""
 

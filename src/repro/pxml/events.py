@@ -62,6 +62,7 @@ from hashlib import blake2b
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from ..deadline import checkpoint
 from ..errors import ProbabilityError
 from ..probability import ONE, ZERO
 from .model import ProbNode
@@ -658,6 +659,12 @@ def event_probability(
     subproblems collapse — pass ``_memo`` to share the table across
     calls (what :class:`~repro.pxml.events_cache.EventProbabilityCache`
     does).
+
+    The active deadline (:func:`repro.deadline.checkpoint`) is polled
+    before each expansion step, so a budget interrupts pricing itself,
+    not only the tree walk that built ``event``.  An interrupted call
+    leaves only finished sub-results in ``_memo``: a row is written when
+    its value is complete, never before.
     """
     if event is TRUE_EVENT:
         return ONE
@@ -678,6 +685,7 @@ def event_probability(
             if isinstance(current, Lit):
                 memo[digest] = current.node.possibilities[current.index].prob
                 continue
+            checkpoint()
             plan = _expand(current)
             stack.append((current, plan))
             for child in plan[1]:

@@ -34,7 +34,7 @@ event.  This module hoists that discovery out of the evaluation loop:
   independent, never stale — so pricing one compiled plan across N
   documents of a dataspace reuses the small-conjunction work instead of
   re-deriving it per document.  The table is lock-protected: the
-  serving tier's fan-out threads one instance through its bounded pool.
+  serving tier shares one instance across its request threads.
 """
 
 from __future__ import annotations
@@ -341,8 +341,9 @@ class LiteralProbabilityTable:
       produces a different key).  Bounded LRU.
 
     All access is serialized on an internal lock — the serving tier
-    threads one instance through its fan-out pool, so N worker threads
-    pricing N documents share (and fill) the same rows.
+    shares one instance across its request threads, so concurrent
+    requests pricing different documents share (and fill) the same
+    rows.
     """
 
     __slots__ = (

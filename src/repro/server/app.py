@@ -407,8 +407,11 @@ class ServerApp:
     async def _search(self, request: HTTPRequest) -> HTTPResponse:
         """Dataspace-wide fan-out: one query over many documents, fused
         into one ranked result (``query_all``).  Reads take no app-level
-        lock — per-document persistent hits deserialize in parallel on
-        the service's own fan-out pool."""
+        lock; the service prices the documents one after another on
+        this request's executor thread, so concurrent requests, not the
+        documents of one request, are what run in parallel.
+        ``allow_partial`` without ``deadline_ms`` is the service's
+        ``QueryError``, a 400."""
         body = self._body(request)
         xpath = _field(body, "xpath")
         documents = body.get("documents")

@@ -463,3 +463,56 @@ class TestBusyHandling:
         assert first.version("doc") == second.version("doc") == 1
         first.close()
         second.close()
+
+
+class TestClosedStore:
+    """After close() every operation raises StoreError — never the
+    driver's raw ``ProgrammingError`` — and a closed store never reopens
+    its connection by itself."""
+
+    OPERATIONS = {
+        "plan_digest": lambda c: c.plan_digest("//x"),
+        "remember_plan": lambda c: c.remember_plan("//x", PLAN),
+        "get": lambda c: c.get("doc", DOC, PLAN),
+        "put": lambda c: c.put(
+            "doc", DOC, PLAN, answer(("x", Fraction(1, 2), 1))
+        ),
+        "get_aggregate": lambda c: c.get_aggregate("doc", DOC, AGG),
+        "put_aggregate": lambda c: c.put_aggregate(
+            "doc", DOC, AGG, {1: Fraction(1)}
+        ),
+        "version": lambda c: c.version("doc"),
+        "invalidate_document": lambda c: c.invalidate_document("doc"),
+        "clear": lambda c: c.clear(),
+        "len": len,
+        "stats": lambda c: c.stats(),
+    }
+
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_every_operation_after_close_is_typed(self, cache, operation):
+        cache.put("doc", DOC, PLAN, answer(("x", Fraction(1, 2), 1)))
+        cache.close()
+        with pytest.raises(StoreError, match="closed"):
+            self.OPERATIONS[operation](cache)
+
+    def test_close_is_idempotent(self, tmp_path):
+        store = AnswerCacheStore(tmp_path / "cache", max_rows=4)
+        store.put("doc", DOC, PLAN, answer(("x", Fraction(1, 2), 1)))
+        store.get("doc", DOC, PLAN)  # a pending recency stamp to flush
+        store.close()
+        store.close()
+        with pytest.raises(StoreError, match="closed"):
+            store.get("doc", DOC, PLAN)
+
+    def test_no_reconnect_after_a_sibling_swaps_the_file(self, tmp_path):
+        """A sibling process quarantines the file and rebuilds a fresh
+        one at the same path (a new inode).  The inode check that lets a
+        live store follow that swap must not reopen a closed one."""
+        store = AnswerCacheStore(tmp_path / "cache")
+        store.invalidate_document("doc")
+        store.close()
+        store.path.rename(store.path.with_name(store.path.name + ".corrupt-1"))
+        AnswerCacheStore(tmp_path / "cache").close()  # the sibling's rebuild
+        with pytest.raises(StoreError, match="closed"):
+            store.version("doc")
+        assert store.recoveries == 0

@@ -25,9 +25,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import integrate
+from repro.core.rules import DeepEqualRule, LeafValueRule
+from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.dbms.service import DataspaceService
-from repro.deadline import Deadline
+from repro.deadline import Deadline, active
 from repro.errors import DeadlineExceededError
+from repro.query.engine import QueryEngine
 from repro.server.client import DataspaceClient, ServerError
 from repro.server.multiproc import MultiProcServer
 from repro.server.wire import encode_fused_answer
@@ -240,35 +244,105 @@ class TestDeadlineChaos:
         finally:
             service.close()
 
-    def test_allow_partial_returns_the_finished_subset(self, tmp_path):
-        service = build_service(tmp_path, "partial")
+    @staticmethod
+    def slowed(service, slow_name, seconds):
+        """Make ``service.query`` stall on one document; returns the list
+        of names the fan-out asked for, in call order."""
+        original = service.query
+        asked = []
+
+        def one_slow_document(name, plan, **kwargs):
+            asked.append(name)
+            if name == slow_name:
+                time.sleep(seconds)
+            return original(name, plan, **kwargs)
+
+        service.query = one_slow_document
+        return asked
+
+    def test_allow_partial_omits_the_slow_last_document(self, tmp_path):
+        """The fan-out prices in name order, so a slow *last* document
+        is the whole omitted tail and every other document is fused."""
+        service = build_service(tmp_path, "partial-last")
         try:
-            original = service.query
-
-            def one_slow_document(name, plan, **kwargs):
-                if name == "doc0":
-                    time.sleep(1.0)
-                return original(name, plan, **kwargs)
-
-            service.query = one_slow_document
-            try:
-                fused = service.query_all(
-                    "//x",
-                    deadline=Deadline.from_ms(400),
-                    allow_partial=True,
-                )
-            finally:
-                service.query = original
+            slow = sorted(DOCS)[-1]
+            self.slowed(service, slow, 0.6)
+            fused = service.query_all(
+                "//x", deadline=Deadline.from_ms(300), allow_partial=True
+            )
+            del service.query  # back to the real DataspaceService.query
             assert fused.partial
-            assert "doc0" in fused.omitted
-            finished = sorted(set(DOCS) - set(fused.omitted))
-            assert finished, "partial answer finished nothing"
-            clean = service.query_all("//x", names=finished)
-            assert [
-                (item.value, item.score) for item in fused.items
-            ] == [(item.value, item.score) for item in clean.items]
+            assert fused.omitted == (slow,)
+            clean = service.query_all(
+                "//x", names=sorted(set(DOCS) - {slow})
+            )
+            assert encode_fused_answer(fused)["items"] == encode_fused_answer(
+                clean
+            )["items"]
         finally:
             service.close()
+
+    def test_slow_first_document_raises_typed_in_bounded_time(self, tmp_path):
+        """A slow *first* document exhausts the budget before anything
+        finished: even with allow_partial the fan-out raises the typed
+        error, promptly, and prices nothing after it."""
+        service = build_service(tmp_path, "partial-first")
+        try:
+            first = sorted(DOCS)[0]
+            asked = self.slowed(service, first, 0.6)
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceededError, match="before any"):
+                service.query_all(
+                    "//x", deadline=Deadline.from_ms(300), allow_partial=True
+                )
+            elapsed = time.monotonic() - started
+            assert elapsed < 5, f"deadline request took {elapsed:.1f}s"
+            assert asked == [first]
+        finally:
+            service.close()
+
+    def test_budget_interrupts_pricing_once_the_walk_is_cached(self):
+        """Pricing stage: with the answer-event walk already cached, only
+        the probability kernel runs, so its own checkpoint is what stops
+        a 20 ms budget — well inside the time unbudgeted pricing takes.
+        The interrupted call leaves no partial memo row behind: an
+        unbudgeted re-query on the same engine is Fraction-identical to
+        an uncached engine's answer."""
+
+        def merged_book():
+            book_a, book_b = addressbook_documents(
+                [(f"p{i}", f"1{i}") for i in range(4)],
+                [(f"p{i}", f"2{i}") for i in range(4)],
+            )
+            return integrate(
+                book_a, book_b,
+                rules=[DeepEqualRule(), LeafValueRule()],
+                dtd=ADDRESSBOOK_DTD,
+            ).document
+
+        query = "//person/tel"
+        # The unbudgeted pricing time, on a twin document of its own.
+        reference = QueryEngine(merged_book())
+        reference.answer_events(query)
+        started = time.perf_counter()
+        reference.query(query)
+        pricing = time.perf_counter() - started
+
+        document = merged_book()
+        engine = QueryEngine(document)
+        engine.answer_events(query)  # cache the walk
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceededError):
+            with active(Deadline.from_ms(20)):
+                engine.query(query)
+        interrupted = time.perf_counter() - started
+        assert interrupted < pricing / 2, (
+            f"20 ms budget ran {interrupted * 1000:.0f} ms against"
+            f" {pricing * 1000:.0f} ms of unbudgeted pricing"
+        )
+        assert snapshot(engine.query(query)) == snapshot(
+            QueryEngine(document, use_cache=False).query(query)
+        )
 
     def test_single_document_deadline_is_typed_at_the_engine(self, tmp_path):
         service = build_service(tmp_path, "single")

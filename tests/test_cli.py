@@ -272,6 +272,22 @@ class TestSearchFanOut:
         ]) == 1
         assert "mixture" in capsys.readouterr().err
 
+    def test_allow_partial_without_deadline_fails_cleanly(
+        self, store, capsys
+    ):
+        assert run([
+            "query", store, "//person/tel", "--all", "--allow-partial",
+        ]) == 1
+        assert "requires a deadline" in capsys.readouterr().err
+
+    def test_allow_partial_without_fan_out_fails_cleanly(
+        self, workspace, capsys
+    ):
+        assert run([
+            "query", workspace / "a.xml", "//person/tel", "--allow-partial",
+        ]) == 1
+        assert "--all or --glob" in capsys.readouterr().err
+
     def test_unmatched_glob_fails_cleanly(self, store, capsys):
         assert run(["query", store, "//x", "--glob", "zzz*"]) == 1
         assert "selected no documents" in capsys.readouterr().err

@@ -424,6 +424,41 @@ class TestDeadlines:
             )
         assert excinfo.value.status == 400
 
+    def test_allow_partial_without_deadline_is_400(self, live):
+        client, _, _ = live
+        load_addressbook(client)
+        with pytest.raises(ServerError) as excinfo:
+            client.search("//person/tel", allow_partial=True)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "QueryError"
+        assert "requires a deadline" in str(excinfo.value)
+
+    def test_partial_search_returns_the_omitted_tail(self, live):
+        """A budget that runs out on the last document in name order
+        returns the fusion of the others, naming the last as omitted."""
+        client, service, _ = live
+        load_addressbook(client)  # documents a, ab, b
+        original = service.query
+
+        def slow_last_document(name, plan, **kwargs):
+            if name == "b":
+                time.sleep(0.6)
+            return original(name, plan, **kwargs)
+
+        service.query = slow_last_document
+        try:
+            fused = client.search(
+                "//person/tel", deadline_ms=300, allow_partial=True
+            )
+        finally:
+            service.query = original
+        assert fused.partial
+        assert fused.omitted == ("b",)
+        clean = client.search("//person/tel", documents=["a", "ab"])
+        assert [(item.value, item.score) for item in fused.items] == [
+            (item.value, item.score) for item in clean.items
+        ]
+
     def test_blown_deadline_is_typed_504(self, live):
         from repro.errors import DeadlineExceededError
 

@@ -442,6 +442,30 @@ class TestNoSwallow:
         findings, _ = lint(tmp_path, rules=["no-swallow"])
         assert findings == []
 
+    def test_seeded_mutation_of_real_events_module(self, tmp_path):
+        """A broad handler around the kernel's worklist would eat the
+        deadline checkpoint's typed error before it reached the
+        fan-out."""
+        source = (SRC / "repro/pxml/events.py").read_text(encoding="utf-8")
+        needle = "            checkpoint()\n"
+        assert source.count(needle) == 1
+        mutated = source.replace(
+            needle,
+            "            try:\n"
+            "                checkpoint()\n"
+            "            except Exception:\n"
+            "                pass\n",
+        )
+        write_fixture(tmp_path, "repro/pxml/events.py", mutated)
+        findings, _ = lint(tmp_path, rules=["no-swallow"])
+        assert [
+            (f.qualname, f.detail) for f in findings
+        ] == [("event_probability", "swallow:Exception")]
+        # the real module itself has no broad handler
+        write_fixture(tmp_path / "clean", "repro/pxml/events.py", source)
+        findings, _ = lint(tmp_path / "clean", rules=["no-swallow"])
+        assert findings == []
+
     def test_disable_pragma_marks_the_sanctioned_absorb_point(self, tmp_path):
         write_fixture(
             tmp_path,

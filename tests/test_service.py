@@ -550,20 +550,18 @@ class TestCrossProcessFence:
 
 class TestFanoutErrorContainment:
     """query_all/aggregate_all on a failing corpus: the first error (in
-    pinned name order) surfaces, stragglers are cancelled or awaited —
-    never left running unobserved (ISSUE 8 satellite)."""
+    pinned name order) surfaces at once and no later document is
+    priced."""
 
-    def corpus(self, tmp_path, workers=4):
-        service = DataspaceService(
-            directory=tmp_path / "store", fanout_workers=workers
-        )
+    def corpus(self, tmp_path):
+        service = DataspaceService(directory=tmp_path / "store")
         for name in ("a", "b", "c", "d"):
             service.load(name, f"<r><x>{name}</x></r>")
         return service
 
     def test_missing_document_mid_corpus(self, tmp_path):
         """A document that vanishes between membership resolution and
-        pricing (deleted by a sibling) fails its future; the fan-out
+        pricing (deleted by a sibling) fails its query; the fan-out
         surfaces that MissingDocumentError."""
         from repro.errors import MissingDocumentError
 
@@ -580,36 +578,54 @@ class TestFanoutErrorContainment:
         finally:
             service.close()
 
-    def test_stragglers_are_awaited_not_leaked(self, tmp_path):
-        """When the error lands, futures already running are awaited to
-        completion before it propagates — no work outlives the call."""
+    def test_no_document_after_the_first_failure_is_priced(
+        self, tmp_path, monkeypatch
+    ):
+        """The fan-out prices on the calling thread: once a document
+        fails, no later one is priced, and no fan-out — failing or
+        not — starts a thread or leaves one behind."""
         from repro.errors import MissingDocumentError
 
-        service = self.corpus(tmp_path, workers=4)
-        finished = threading.Event()
+        service = self.corpus(tmp_path)
+        priced = []
+        started = []
+        start = threading.Thread.start
+        caller = threading.get_ident()
+
+        def record_start(thread):
+            if threading.get_ident() == caller:
+                started.append(thread.name)
+            start(thread)
+
         try:
             original = DataspaceService.query
             def flaky(self_, name, plan):
-                if name == "a":
-                    time.sleep(0.05)
-                    raise MissingDocumentError("no document named 'a'")
-                if name == "d":
-                    time.sleep(0.3)  # straggler, still running at failure
-                    finished.set()
+                priced.append(name)
+                if name == "b":
+                    raise MissingDocumentError("no document named 'b'")
                 return original(self_, name, plan)
             service.query = flaky.__get__(service)
+            monkeypatch.setattr(threading.Thread, "start", record_start)
+            threads = threading.active_count()
             with pytest.raises(MissingDocumentError):
                 service.query_all("//x")
-            assert finished.is_set(), "straggler leaked past the fan-out"
+            assert priced == ["a", "b"]
+            assert threading.active_count() == threads
+            assert service.query_all("//x", names=["c", "d"]).values() == [
+                "c", "d"
+            ]
+            assert service.aggregate_all("count", "x") == {1: Fraction(1)}
+            assert threading.active_count() == threads
+            assert started == []
         finally:
             service.close()
 
     def test_first_error_in_name_order_wins(self, tmp_path):
         """Two failures: the surfaced error is deterministically the
-        first failing *name*, not whichever future crashed first."""
+        first failing *name*."""
         from repro.errors import MissingDocumentError, QueryError
 
-        service = self.corpus(tmp_path, workers=4)
+        service = self.corpus(tmp_path)
         try:
             original = DataspaceService.query
             def flaky(self_, name, plan):
@@ -643,18 +659,26 @@ class TestFanoutErrorContainment:
 
 
 class TestCloseLifecycle:
-    def test_close_is_idempotent(self, tmp_path):
+    """close() releases the persistent cache; every later call that
+    needs it fails with the typed StoreError, never a raw sqlite3
+    error."""
+
+    def cached(self, tmp_path):
         service = DataspaceService(
             directory=tmp_path / "store", cache_dir=tmp_path / "cache"
         )
         service.load("d", "<r><x>1</x></r>")
-        service.query_all("//x")  # create the fan-out pool
+        return service
+
+    def test_close_is_idempotent(self, tmp_path):
+        service = self.cached(tmp_path)
+        service.query_all("//x")
         service.close()
-        service.close()  # second close: no error, no double-shutdown
+        service.close()  # second close: no error
 
     def test_fanout_after_close_raises(self, tmp_path):
-        service = DataspaceService(directory=tmp_path / "store")
-        service.load("d", "<r><x>1</x></r>")
+        service = self.cached(tmp_path)
+        service.query_all("//x")
         service.close()
         with pytest.raises(StoreError, match="closed"):
             service.query_all("//x")
@@ -662,8 +686,25 @@ class TestCloseLifecycle:
             service.aggregate_all("count", "x")
 
     def test_close_before_any_fanout(self, tmp_path):
-        service = DataspaceService(directory=tmp_path / "store")
-        service.load("d", "<r><x>1</x></r>")
-        service.close()  # pool never created; nothing to shut down
+        service = self.cached(tmp_path)
+        service.close()
         with pytest.raises(StoreError, match="closed"):
             service.query_all("//x")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.query("d", "//x"),
+            lambda s: s.aggregate("d", "count", "x"),
+            lambda s: s.load("e", "<r/>"),
+            lambda s: s.cache_stats(),
+            lambda s: s.run_batch("d", ["//x"]),
+        ],
+        ids=["query", "aggregate", "load", "cache_stats", "run_batch"],
+    )
+    def test_every_cached_call_after_close_is_typed(self, tmp_path, call):
+        service = self.cached(tmp_path)
+        service.query("d", "//x")
+        service.close()
+        with pytest.raises(StoreError, match="closed"):
+            call(service)

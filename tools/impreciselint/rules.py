@@ -497,16 +497,23 @@ def _cycles(edges: dict) -> list:
 
 # -- no-swallow ---------------------------------------------------------------
 
-#: Supervisor / fault-hook modules: the self-healing story depends on
+#: Supervisor / fault-hook modules, plus the pricing path a deadline is
+#: raised from: the self-healing story depends on
 #: :class:`~repro.errors.CacheBusyError` and
 #: :class:`~repro.errors.DeadlineExceededError` reaching their sanctioned
-#: handling points (absorb-and-count, HTTP 504) — a handler here that
-#: could catch one and not re-raise hides a fault instead of healing it.
+#: handling points (absorb-and-count, the fan-out's omitted tail, HTTP
+#: 504) — a handler here that could catch one and not re-raise hides a
+#: fault instead of healing it.
 NO_SWALLOW_SCOPE = (
     "repro/server/multiproc.py",
     "repro/dbms/service.py",
     "repro/dbms/cache_store.py",
     "repro/testing/faults.py",
+    "repro/pxml/events.py",
+    "repro/pxml/events_cache.py",
+    "repro/pxml/events_compile.py",
+    "repro/query/engine.py",
+    "repro/query/aggregates.py",
 )
 
 #: The two critical exceptions, plus every umbrella type (and the bare
