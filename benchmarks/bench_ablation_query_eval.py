@@ -205,8 +205,9 @@ def test_cached_vs_uncached_repeated_workload():
 
 
 def test_batch_vs_loop_single_pass(benchmark):
-    """run_batch on a cold cache vs a per-query loop on a cold cache:
-    even without repetition, bulk pricing shares sub-events."""
+    """run_batch on a cold cache vs a per-query loop of uncached
+    engines: even without repetition, the batch's queries share
+    sub-events through the one cache."""
     document = build_document(6)
 
     def batch_cold():

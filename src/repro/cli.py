@@ -631,8 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
                               " finished, marking omitted documents,"
                               " instead of erroring on a blown budget")
     p_query.add_argument("--batch", action="store_true",
-                         help="evaluate all queries as one batch (shared"
-                              " event-probability cache, bulk pricing)")
+                         help="evaluate all queries as one batch (one"
+                              " query after another over a shared"
+                              " event-probability cache)")
     p_query.add_argument("--queries-file", default=None,
                          help="file with one XPath per line ('#' comments)")
     p_query.add_argument("--no-cache", action="store_true",

@@ -16,30 +16,32 @@ behind one facade safe for many threads: :meth:`query`,
 dataspace-wide fan-out with rank fusion — see
 :mod:`repro.query.fusion`), :meth:`integrate`, :meth:`feedback`.
 
-Serving discipline:
+Serving discipline — two private routines state it once, and every
+public method is a short adapter over one of them:
 
-1. a query is keyed by ``(document name, content digest, plan
-   fingerprint digest)`` — both digest halves are stable across
-   processes (see :mod:`repro.dbms.cache_store`);
-2. a persistent **hit** deserializes exact Fractions straight from disk:
-   no tree walk, no Shannon expansion, no engine, no per-name lock —
-   hits from any number of threads proceed in parallel;
-3. a **miss** takes the document's shard lock, evaluates through the
-   shared :class:`~repro.query.engine.QueryEngine` (populating the
-   in-memory event cache), persists the priced answer, and returns it.
-   Misses on *different* documents still run in parallel;
-4. every mutation (:meth:`load`, :meth:`integrate`, :meth:`feedback`,
-   :meth:`delete`) bumps the persistent cache's per-name version and
-   drops the name's rows.  Correctness never depends on that purge — the
-   content digest changes with the content — it bounds cache growth and
-   fences concurrent writers;
-5. when several *processes* share one cache directory (``imprecise serve
-   --workers N``), the per-name version doubles as a **cross-process
-   fence**: each cache-keyed read first compares the persistent version
-   against the one this instance last observed, and on movement drops
-   the name's in-memory state (materialized document, content digest,
-   engine) so a mutation applied by a sibling process is re-read from
-   disk instead of served from a stale materialization.
+1. :meth:`~DataspaceService._serve` is every cache-keyed read
+   (:meth:`query`, :meth:`aggregate`; :meth:`run_batch` and the
+   fan-outs loop over them).  The key is ``(document name, content
+   digest, plan or aggregate digest)``, stable across processes (see
+   :mod:`repro.dbms.cache_store`).  A persistent **hit** deserializes
+   exact Fractions lock-free — no walk, no pricing, no engine — so hits
+   proceed in parallel; a **miss** takes the name's shard lock, prices
+   on the shared :class:`~repro.query.engine.QueryEngine`, and persists
+   the result stamped with the version read before pricing.
+2. :meth:`~DataspaceService._mutate` is every mutation (:meth:`load`,
+   :meth:`load_document`, :meth:`delete`, :meth:`integrate`,
+   :meth:`feedback`): under the name's shard lock it reads the
+   persistent version (a closed cache refuses here, before anything is
+   written), fences the names the mutation reads, applies it, and bumps
+   the version, dropping the name's rows.  Correctness never depends on
+   that purge — the content digest changes with the content.
+3. The per-name version is also the **cross-process fence** for
+   processes sharing one cache directory (``imprecise serve --workers
+   N``): reads, mutations that read a stored document, and
+   :meth:`stats` first compare it with the version this instance last
+   observed and, on movement, drop the name's in-memory state, so a
+   sibling's mutation is re-read from disk rather than served — or
+   overwritten — from a stale materialization.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from ..core.engine import IntegrationReport
 from ..core.oracle import Oracle
@@ -82,7 +86,7 @@ from ..query.fusion import (
     fuse_aggregates,
     fuse_answers,
 )
-from ..query.plan import QueryPlan, compile_plan
+from ..query.plan import compile_plan
 from ..query.ranking import RankedAnswer
 from ..xmlkit.dtd import DTD
 from ..xmlkit.nodes import XDocument
@@ -93,6 +97,8 @@ from .store import DocumentStore
 __all__ = ["DataspaceService", "format_cache_stats"]
 
 _SERVICE_SHARDS = 16
+
+_T = TypeVar("_T")
 
 
 def format_cache_stats(stats: dict) -> str:
@@ -106,6 +112,35 @@ def format_cache_stats(stats: dict) -> str:
     surfaces cannot drift because neither picks its own counters.
     """
     return "\n".join(f"{key}: {value:,}" for key, value in sorted(stats.items()))
+
+
+@contextmanager
+def _bounded(deadline: Optional[Deadline]) -> Iterator[None]:
+    """One bounded call: ``deadline`` is active on this thread and
+    checked once up front.  ``None`` leaves whatever deadline is already
+    active (a fan-out's or a batch's) in force."""
+    if deadline is None:
+        yield
+        return
+    with active(deadline):
+        deadline.check()
+        yield
+
+
+def _aggregate_spec(
+    kind: Union[str, AggregateSpec], target: Optional[str], text: Optional[str]
+) -> AggregateSpec:
+    """A compiled ``kind``, or ``(kind, target, text)`` compiled."""
+    if not isinstance(kind, AggregateSpec):
+        return compile_aggregate(kind, target, text=text)
+    if target is not None or text is not None:
+        # Mirror aggregate_distribution's guard: silently dropping the
+        # filter would serve the wrong distribution.
+        raise QueryError(
+            "pass either a compiled AggregateSpec or (kind, target, text=),"
+            " not both"
+        )
+    return kind
 
 
 class DataspaceService:  # impreciselint: guarded-by=_mu
@@ -235,18 +270,14 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
             with self._mu:
                 self.cache_write_failures += 1
 
-    def _plan_and_digest(
-        self, expression: QueryLike
-    ) -> tuple[Optional[QueryPlan], str]:
-        """Resolve the plan-digest half of the cache key, compiling only
-        when the persistent plan memo cannot answer."""
-        if (
-            self.cache is not None
-            and isinstance(expression, str)
-        ):
+    def _plan_and_digest(self, expression: QueryLike) -> tuple[QueryLike, str]:
+        """Resolve the plan-digest half of the cache key and what a miss
+        runs: the compiled plan, or ``expression`` itself when the
+        persistent plan memo answers without compiling."""
+        if self.cache is not None and isinstance(expression, str):
             known = self.cache.plan_digest(expression)
             if known is not None:
-                return None, known
+                return expression, known
         plan = compile_plan(expression)
         if self.cache is not None and isinstance(expression, str):
             self._cache_put_guarded(
@@ -324,27 +355,86 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
             )
         return selected
 
-    def _invalidate(self, name: str) -> None:
+    def _serve(
+        self,
+        name: str,
+        key: str,
+        get: Callable[..., Optional[_T]],
+        put: Callable[..., None],
+        price: Callable[[QueryEngine], _T],
+    ) -> _T:
+        """The cache-keyed read (serving-discipline point 1).  ``key``
+        is the plan or aggregate digest; ``get``/``put`` are the row
+        family's :class:`AnswerCacheStore` accessors, called as
+        ``get(cache, name, digest, key)`` and ``put(cache, name, digest,
+        key, value, version=)``; ``price`` computes a miss on the shared
+        engine."""
+        self._fence_check(name)
+        cache = self.cache
+        if cache is not None:
+            # Optimistic lock-free fast path: hits deserialize in parallel.
+            hit = get(cache, name, self.store.digest(name), key)
+            if hit is not None:
+                return hit
+        with self._name_lock(name):
+            # Mutations hold this same lock, so the digest is stable for
+            # the whole price-and-persist step below.
+            digest = self.store.digest(name)
+            if cache is None:
+                return price(self._engine(name, digest))
+            # Re-check under the lock (a racing miss may have landed);
+            # record=False — the optimistic probe already counted.
+            hit = get(cache, name, digest, key, record=False)
+            if hit is not None:
+                return hit
+            # Version observed before pricing: if another *process*
+            # invalidates meanwhile, our row is stamped stale and ignored.
+            observed = cache.version(name)
+            value = price(self._engine(name, digest))
+            self._cache_put_guarded(
+                lambda: put(cache, name, digest, key, value, version=observed)
+            )
+            return value
+
+    def _mutate(
+        self, name: str, apply: Callable[[], _T], reads: Sequence[str] = ()
+    ) -> _T:
+        """The mutation routine (serving-discipline point 2): under
+        ``name``'s shard lock, read its persistent version, fence every
+        name in ``reads`` (the stored documents ``apply`` reads), run
+        ``apply``, and invalidate ``name``.  Reading the version first
+        makes a closed cache refuse before ``apply`` writes anything."""
+        with self._name_lock(name):
+            before = self.cache.version(name) if self.cache is not None else 0
+            for read in reads:
+                self._fence_check(read)
+            result = apply()
+            self._invalidate(name, before)
+            return result
+
+    def _invalidate(self, name: str, before: int) -> None:
+        """Drop ``name``'s engine and persistent rows and bump its
+        version; ``before`` is the version read before the mutation."""
         with self._mu:
             self._engines.pop(name, None)
-        if self.cache is not None:
-            before = self.cache.version(name)
-            self.cache.invalidate_document(name)
-            after = self.cache.version(name)
-            with self._mu:
-                if after == before + 1:
-                    # Only our own bump: the in-memory state (we just
-                    # wrote it) is current, so record the version and
-                    # keep the materialization warm.
-                    self._observed_versions[name] = after
-                else:
-                    # A sibling process interleaved a mutation — forget
-                    # what we observed so the next read refreshes.
-                    self._observed_versions.pop(name, None)
+        if self.cache is None:
+            return
+        self.cache.invalidate_document(name)
+        after = self.cache.version(name)
+        with self._mu:
+            if after == before + 1:
+                # Only our own bump: the in-memory state (we just wrote
+                # it) is current, so record the version and keep the
+                # materialization warm.
+                self._observed_versions[name] = after
+            else:
+                # A sibling process interleaved a mutation — forget what
+                # we observed so the next read refreshes.
+                self._observed_versions.pop(name, None)
 
     def _fence_check(self, name: str) -> None:
         """The cross-process invalidation fence (serving-discipline
-        point 5): compare the persistent per-name version against the
+        point 3): compare the persistent per-name version against the
         one this instance last observed and, on movement, drop every
         piece of in-memory state derived from the old content — the
         shared engine and the store's materialization + content digest
@@ -374,23 +464,17 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
 
     def load(self, name: str, xml_text: str) -> None:
         """Parse and store a plain XML source document."""
-        with self._name_lock(name):
-            self._module.load(name, xml_text)
-            self._invalidate(name)
+        self._mutate(name, lambda: self._module.load(name, xml_text))
 
     def load_document(
         self, name: str, document: Union[XDocument, PXDocument]
     ) -> None:
         """Store an already-built document under ``name``."""
-        with self._name_lock(name):
-            self._module.load_document(name, document)
-            self._invalidate(name)
+        self._mutate(name, lambda: self._module.load_document(name, document))
 
     def delete(self, name: str) -> None:
         """Remove a document and every answer cached for it."""
-        with self._name_lock(name):
-            self.store.delete(name)
-            self._invalidate(name)
+        self._mutate(name, lambda: self.store.delete(name))
 
     def list(self) -> list[str]:
         """All stored document names, sorted."""
@@ -405,7 +489,7 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         for name in self.store.list():
             try:
                 entries.append({"name": name, "kind": self.store.kind(name)})
-            except StoreError:
+            except MissingDocumentError:
                 continue  # deleted mid-listing by another thread
         return entries
 
@@ -429,49 +513,16 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         :class:`DeadlineExceededError` — the answer is exact or absent,
         never approximate.
         """
-        if deadline is None:
-            return self._query_unbounded(name, expression)
-        with active(deadline):
-            deadline.check()
-            return self._query_unbounded(name, expression)
-
-    def _query_unbounded(self, name: str, expression: QueryLike) -> RankedAnswer:
-        self._fence_check(name)
-        plan, plan_digest = self._plan_and_digest(expression)
-        if self.cache is not None:
-            # Optimistic lock-free fast path: hits deserialize in parallel.
-            hit = self.cache.get(name, self.store.digest(name), plan_digest)
-            if hit is not None:
-                return hit
-        with self._name_lock(name):
-            # Mutations hold this same lock, so the digest is stable for
-            # the whole evaluate-and-persist step below.
-            digest = self.store.digest(name)
-            if self.cache is not None:
-                # Re-check under the lock (a racing miss may have landed);
-                # record=False — the optimistic probe already counted.
-                hit = self.cache.get(name, digest, plan_digest, record=False)
-                if hit is not None:
-                    return hit
-            # Version observed before evaluating: if another *process*
-            # invalidates meanwhile, our row is stamped stale and ignored.
-            observed = self.cache.version(name) if self.cache is not None else 0
-            engine = self._engine(name, digest)
-            answer = engine.run(plan if plan is not None else expression)
-            if self.cache is not None:
-                self._cache_put_guarded(
-                    lambda: self.cache.put(
-                        name,
-                        digest,
-                        plan_digest,
-                        answer,
-                        expression=expression
-                        if isinstance(expression, str)
-                        else None,
-                        version=observed,
-                    )
-                )
-        return answer
+        with _bounded(deadline):
+            runnable, plan_digest = self._plan_and_digest(expression)
+            text = expression if isinstance(expression, str) else None
+            return self._serve(
+                name,
+                plan_digest,
+                AnswerCacheStore.get,
+                partial(AnswerCacheStore.put, expression=text),
+                lambda engine: engine.run(runnable),
+            )
 
     def run_batch(
         self,
@@ -482,70 +533,15 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
     ) -> list[RankedAnswer]:
         """Evaluate a workload over ``name``; answers align with inputs.
 
-        Persistent hits are deserialized; the misses go through
-        :meth:`QueryEngine.run_batch` in one bulk pricing pass, then land
-        in the persistent cache.  Fraction-identical to serial
-        :meth:`query` calls.  ``deadline=`` behaves as in :meth:`query`
-        — the batch either completes exactly or raises typed.
+        A batch is :meth:`query` called once per expression — each one
+        fenced, probed and priced exactly as that call would be, sharing
+        the document's engine and caches — so it is Fraction-identical
+        to serial :meth:`query` calls, and an empty batch touches
+        nothing.  ``deadline=`` bounds the whole batch: it either
+        completes exactly or raises typed.
         """
-        if deadline is not None:
-            with active(deadline):
-                deadline.check()
-                return self._run_batch_unbounded(name, expressions)
-        return self._run_batch_unbounded(name, expressions)
-
-    def _run_batch_unbounded(
-        self, name: str, expressions: Sequence[QueryLike]
-    ) -> list[RankedAnswer]:
-        self._fence_check(name)
-        resolved: list[tuple[QueryLike, Optional[QueryPlan], str]] = []
-        answers: list[Optional[RankedAnswer]] = [None] * len(expressions)
-        misses: list[int] = []
-        fast_digest = self.store.digest(name) if self.cache is not None else ""
-        for index, expression in enumerate(expressions):
-            plan, plan_digest = self._plan_and_digest(expression)
-            resolved.append((expression, plan, plan_digest))
-            if self.cache is not None:
-                hit = self.cache.get(name, fast_digest, plan_digest)
-                if hit is not None:
-                    answers[index] = hit
-                    continue
-            misses.append(index)
-        if misses:
-            with self._name_lock(name):
-                digest = self.store.digest(name)
-                observed = (
-                    self.cache.version(name) if self.cache is not None else 0
-                )
-                engine = self._engine(name, digest)
-                computed = engine.run_batch(
-                    [
-                        resolved[index][1]
-                        if resolved[index][1] is not None
-                        else resolved[index][0]
-                        for index in misses
-                    ]
-                )
-                for index, answer in zip(misses, computed):
-                    answers[index] = answer
-                    if self.cache is not None:
-                        expression = resolved[index][0]
-                        plan_digest = resolved[index][2]
-                        self._cache_put_guarded(
-                            lambda answer=answer,
-                            expression=expression,
-                            plan_digest=plan_digest: self.cache.put(
-                                name,
-                                digest,
-                                plan_digest,
-                                answer,
-                                expression=expression
-                                if isinstance(expression, str)
-                                else None,
-                                version=observed,
-                            )
-                        )
-        return answers  # type: ignore[return-value]
+        with _bounded(deadline):
+            return [self.query(name, expression) for expression in expressions]
 
     def query_all(
         self,
@@ -647,12 +643,11 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         on the calling thread through :meth:`aggregate`'s serving
         discipline (persistent aggregate rows hit lock-free), and the
         first error propagates at once.  ``deadline=`` bounds the
-        fan-out as in :meth:`query_all`; expiry raises the typed error.
-        A convolution has no checkpoint of its own, so the call can
-        overrun by one document's convolution, as :meth:`aggregate`
-        can.  There is no partial mode here, because a mixture silently
-        renormalized over a subset of documents would *misrepresent*
-        the distribution rather than degrade it visibly.
+        fan-out as in :meth:`query_all`, and the convolution polls it
+        too; expiry raises the typed error.  There is no partial mode
+        here, because a mixture silently renormalized over a subset of
+        documents would *misrepresent* the distribution rather than
+        degrade it visibly.
 
         >>> service = DataspaceService()
         >>> service.load("a", "<r><p>1</p></r>")
@@ -661,15 +656,7 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         {1: Fraction(1, 2), 2: Fraction(1, 2)}
         """
         selected = self._select_names(names, glob, what="aggregate_all")
-        if isinstance(kind, AggregateSpec):
-            if target is not None or text is not None:
-                raise QueryError(
-                    "pass either a compiled AggregateSpec or (kind,"
-                    " target, text=), not both"
-                )
-            spec = kind
-        else:
-            spec = compile_aggregate(kind, target, text=text)
+        spec = _aggregate_spec(kind, target, text)
         distributions, _ = self._fan_out(
             selected,
             lambda name: self.aggregate(name, spec),
@@ -702,67 +689,22 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         >>> service.aggregate("a", "sum", "p")
         {7: Fraction(1, 1)}
         """
-        if deadline is not None:
-            with active(deadline):
-                deadline.check()
-                return self._aggregate_unbounded(name, kind, target, text=text)
-        return self._aggregate_unbounded(name, kind, target, text=text)
-
-    def _aggregate_unbounded(
-        self,
-        name: str,
-        kind: Union[str, AggregateSpec],
-        target: Optional[str] = None,
-        *,
-        text: Optional[str] = None,
-    ) -> AggregateDistribution:
-        if isinstance(kind, AggregateSpec):
-            if target is not None or text is not None:
-                # Mirror aggregate_distribution's guard: silently
-                # dropping the filter would serve the wrong distribution.
-                raise QueryError(
-                    "pass either a compiled AggregateSpec or (kind,"
-                    " target, text=), not both"
-                )
-            spec = kind
-        else:
-            spec = compile_aggregate(kind, target, text=text)
-        self._fence_check(name)
-        if self.cache is not None:
-            # Optimistic lock-free fast path, as in query().
-            hit = self.cache.get_aggregate(
-                name, self.store.digest(name), spec.digest
+        with _bounded(deadline):
+            spec = _aggregate_spec(kind, target, text)
+            return self._serve(
+                name,
+                spec.digest,
+                AnswerCacheStore.get_aggregate,
+                partial(AnswerCacheStore.put_aggregate, spec=spec.describe()),
+                lambda engine: aggregate_distribution(
+                    engine.document, spec, cache=engine.cache
+                ),
             )
-            if hit is not None:
-                return hit
-        with self._name_lock(name):
-            digest = self.store.digest(name)
-            if self.cache is not None:
-                hit = self.cache.get_aggregate(
-                    name, digest, spec.digest, record=False
-                )
-                if hit is not None:
-                    return hit
-            observed = self.cache.version(name) if self.cache is not None else 0
-            engine = self._engine(name, digest)
-            distribution = aggregate_distribution(
-                engine.document, spec, cache=engine.cache
-            )
-            if self.cache is not None:
-                self._cache_put_guarded(
-                    lambda: self.cache.put_aggregate(
-                        name,
-                        digest,
-                        spec.digest,
-                        distribution,
-                        spec=spec.describe(),
-                        version=observed,
-                    )
-                )
-        return distribution
 
     def stats(self, name: str) -> NodeStats:
-        """Uncertainty census of a stored document."""
+        """Uncertainty census of a stored document (fenced, so a
+        sibling process's mutation is counted)."""
+        self._fence_check(name)
         return self._module.stats(name)
 
     # -- integration / feedback ---------------------------------------------
@@ -782,8 +724,9 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         """Integrate two stored sources into a stored probabilistic
         document (see :meth:`ImpreciseModule.integrate`); invalidates any
         answers previously cached under ``output``."""
-        with self._name_lock(output):
-            report = self._module.integrate(
+        return self._mutate(
+            output,
+            lambda: self._module.integrate(
                 name_a,
                 name_b,
                 output,
@@ -792,19 +735,22 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
                 dtd=dtd,
                 factor_components=factor_components,
                 max_possibilities=max_possibilities,
-            )
-            self._invalidate(output)
-            return report
+            ),
+            reads=(name_a, name_b),
+        )
 
     def feedback(
         self, name: str, expression: str, value: str, *, correct: bool = True
     ) -> FeedbackStep:
         """Apply one piece of answer feedback, persist the conditioned
         posterior document, and invalidate ``name``'s cached answers."""
-        with self._name_lock(name):
-            step = self._module.feedback(name, expression, value, correct=correct)
-            self._invalidate(name)
-            return step
+        return self._mutate(
+            name,
+            lambda: self._module.feedback(
+                name, expression, value, correct=correct
+            ),
+            reads=(name,),
+        )
 
     # -- diagnostics ---------------------------------------------------------
 

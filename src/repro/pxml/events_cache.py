@@ -42,7 +42,8 @@ amortizes it:
   :func:`~repro.pxml.events.event_probability` directly) remains the
   differential reference; the two are Fraction-identical.
 * :meth:`EventProbabilityCache.probabilities_of` — the bulk entry point
-  for query batches.  Events are processed smallest-variable-set first so
+  for a query's answer events (a batch is one query after another over
+  this same memo).  Events are processed smallest-variable-set first so
   shared sub-events are expanded exactly once and every larger event's
   expansion terminates at already-cached frontiers.
 * a per-document registry (:func:`cache_for`) so independent engines,

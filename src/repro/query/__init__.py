@@ -17,7 +17,7 @@ The hot path is amortized twice: queries compile once into reusable
 :class:`QueryPlan` objects (:func:`compile_plan`), and all probability
 computation rides the per-document memo of
 :mod:`repro.pxml.events_cache`.  :class:`QueryEngine` adds the batch API
-(``run_batch``) that prices a whole workload through one bulk cache pass.
+(``run_batch``): ``run`` once per query, sharing the document's cache.
 """
 
 from .ranking import RankedAnswer, RankedItem, ranked_from_events

@@ -56,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
+from ..deadline import checkpoint
 from ..errors import QueryError
 from ..probability import ONE, ZERO, format_percent
 from ..pxml.events import weighted_sum
@@ -480,6 +481,7 @@ class _StructuralAggregator:
         return total
 
     def aggregate_prob(self, node: ProbNode) -> AggregateDistribution:
+        checkpoint()
         parts = []
         for possibility in node.possibilities:
             branch: AggregateDistribution = {self.identity: ONE}

@@ -97,7 +97,6 @@ from .ranking import (
     RankedItem,
     merge_ranked,
     ranked_from_events,
-    ranked_from_probabilities,
 )
 
 _DOC = object()  # sentinel for the virtual document node
@@ -642,9 +641,8 @@ class QueryEngine(ProbQueryEngine):
     workload benchmarks exercise:
 
     * :meth:`run` — evaluate one query (alias of :meth:`query`);
-    * :meth:`run_batch` — evaluate many queries through one bulk
-      probability pass, so sub-events shared *across* the batch are
-      Shannon-expanded once;
+    * :meth:`run_batch` — evaluate many queries, a loop of :meth:`run`
+      over the shared cache;
     * :meth:`cache_stats` — the shared cache's counters.
 
     >>> from repro.xmlkit import parse_document
@@ -661,28 +659,11 @@ class QueryEngine(ProbQueryEngine):
     def run_batch(self, expressions: Iterable[QueryLike]) -> list[RankedAnswer]:
         """Evaluate ``expressions`` in order; answers align with inputs.
 
-        Matches per-query :meth:`run` results exactly (Fraction-equal) —
-        the batch path only changes *when* probabilities are computed:
-        all answer events across the batch are collected first, then
-        priced in one bulk :meth:`EventProbabilityCache.probabilities_of`
-        call that factors shared sub-events.
+        A loop of :meth:`run`, so Fraction-equal to it by construction;
+        with caching on, the queries share the document's cache, and a
+        sub-event common to several of them is priced once.
         """
-        batch = []
-        for expression in expressions:
-            checkpoint()
-            batch.append(self.answer_events(expression))
-        flat_events: list[Event] = []
-        for contributions in batch:
-            for event, _ in contributions.values():
-                flat_events.append(event)
-        flat_probs = self._probabilities(flat_events)
-        answers = []
-        offset = 0
-        for contributions in batch:
-            span = flat_probs[offset : offset + len(contributions)]
-            offset += len(contributions)
-            answers.append(ranked_from_probabilities(contributions, span))
-        return answers
+        return [self.run(expression) for expression in expressions]
 
     def cache_stats(self) -> dict:
         """Counters of the shared cache ({} when caching is disabled)."""

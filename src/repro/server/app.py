@@ -17,7 +17,7 @@ GET       ``/documents/{name}/stats`` uncertainty census of one document
 POST      ``/query``                  ranked probabilistic answer
 POST      ``/search``                 dataspace-wide fan-out + rank fusion
 POST      ``/aggregate``              exact aggregate distribution
-POST      ``/batch``                  one bulk-priced workload
+POST      ``/batch``                  ``/query`` once per xpath
 POST      ``/integrate``              integrate two stored sources
 POST      ``/feedback``               Bayesian answer feedback
 ========  ==========================  =========================================
@@ -40,8 +40,10 @@ ROADMAP wants:
   parallel.
 
 Errors come back as structured JSON, ``{"error": {"type", "message"}}``,
-with 400 for malformed requests, 404 for missing documents/routes, and
-500 for everything unexpected (the HTTP core adds that containment).
+with 400 for malformed requests, 404 for missing documents/routes, 503
+``cache_busy`` (with ``Retry-After``) when the shared cache's write lock
+stays busy, 504 for an expired ``deadline_ms``, and 500 for everything
+unexpected (the HTTP core adds that containment).
 
 Production hygiene (all surfaced under the ``"http"`` key of ``GET
 /stats``; see ``docs/http_api.md``):
@@ -72,6 +74,7 @@ from typing import Callable, Optional
 from ..dbms.service import DataspaceService
 from ..deadline import Deadline
 from ..errors import (
+    CacheBusyError,
     DeadlineExceededError,
     ImpreciseError,
     MissingDocumentError,
@@ -301,11 +304,15 @@ class ServerApp:
             # other library error — invalid names, bad XPath/XML, bad
             # wire payloads — is a bad or unservable request: 400.
             return _error_response(404, type(error).__name__, str(error))
+        # impreciselint: disable=no-swallow -- status mapping: expiry is the request's budget, not the request; 504, and a retry with a larger budget is safe
         except DeadlineExceededError as error:
-            # Before the generic ImpreciseError branch: expiry is a
-            # property of the request's budget, not of the request —
-            # 504, and retrying with a larger budget is always safe.
             return _error_response(504, "deadline_exceeded", str(error))
+        # impreciselint: disable=no-swallow -- status mapping: write-lock contention is transient, not the request's fault; 503 + Retry-After, and an idempotent replay re-applies the mutation
+        except CacheBusyError as error:
+            response = _error_response(503, "cache_busy", str(error))
+            response.headers["retry-after"] = "1"
+            return response
+        # impreciselint: disable=no-swallow -- status mapping: the typed 504/503 branches above come first, so what reaches here is a bad or unservable request; 400
         except (WireFormatError, ValueError, ImpreciseError) as error:
             return _error_response(400, type(error).__name__, str(error))
 

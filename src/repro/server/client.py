@@ -16,9 +16,10 @@ the server-side error type, except two that get typed treatment:
 - **504** (``deadline_exceeded``) raises
   :class:`~repro.errors.DeadlineExceededError` so callers handle a
   blown ``deadline_ms`` budget the same way in-process callers do.
-- **503** (overload shedding) is replayed up to ``retry_503`` times —
-  opt-in, idempotent requests only — sleeping the server's
-  ``Retry-After`` hint (capped at :data:`RETRY_AFTER_CAP` seconds).
+- **503** (overload shedding, or ``cache_busy`` write-lock contention)
+  is replayed up to ``retry_503`` times — opt-in, idempotent requests
+  only — sleeping the server's ``Retry-After`` hint (capped at
+  :data:`RETRY_AFTER_CAP` seconds).
 """
 
 from __future__ import annotations
@@ -324,7 +325,8 @@ class DataspaceClient:
         *,
         deadline_ms: Optional[int] = None,
     ) -> list:
-        """One bulk-priced workload; answers align with ``xpaths``."""
+        """A workload over one document (``/query`` once per xpath);
+        answers align with ``xpaths``."""
         payload: dict = {"document": name, "xpaths": list(xpaths)}
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms

@@ -707,6 +707,7 @@ class WorkerSupervisor:  # impreciselint: guarded-by=_lock
                 )
                 try:
                     self.tier.respawn_worker(slot)
+                # impreciselint: disable=no-swallow -- a failed respawn is counted in restart_failures and retried with backoff on a later round
                 except (ImpreciseError, OSError) as error:
                     with self._lock:
                         self.restart_failures += 1

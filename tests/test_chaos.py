@@ -31,6 +31,7 @@ from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.dbms.service import DataspaceService
 from repro.deadline import Deadline, active
 from repro.errors import DeadlineExceededError
+from repro.query.aggregates import aggregate_distribution
 from repro.query.engine import QueryEngine
 from repro.server.client import DataspaceClient, ServerError
 from repro.server.multiproc import MultiProcServer
@@ -343,6 +344,42 @@ class TestDeadlineChaos:
         assert snapshot(engine.query(query)) == snapshot(
             QueryEngine(document, use_cache=False).query(query)
         )
+
+    def test_budget_interrupts_the_aggregate_convolution(self):
+        """Aggregate stage: the convolution polls the deadline, so a
+        20 ms budget on a merged 5x5 address book stops well inside the
+        time the unbudgeted convolution takes.  The interrupted call
+        memoizes nothing: an unbudgeted re-run is Fraction-identical to
+        an uncached convolution."""
+        book_a, book_b = addressbook_documents(
+            [(f"p{i}", f"1{i}") for i in range(5)],
+            [(f"p{i}", f"2{i}") for i in range(5)],
+        )
+        document = integrate(
+            book_a, book_b,
+            rules=[DeepEqualRule(), LeafValueRule()],
+            dtd=ADDRESSBOOK_DTD,
+        ).document
+        started = time.perf_counter()
+        reference = aggregate_distribution(
+            document, "count", "person", use_cache=False
+        )
+        convolution = time.perf_counter() - started
+
+        service = DataspaceService()
+        service.load_document("ab", document)
+        service.store.digest("ab")  # first-touch hashing, outside the budget
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceededError):
+            service.aggregate(
+                "ab", "count", "person", deadline=Deadline.from_ms(20)
+            )
+        interrupted = time.perf_counter() - started
+        assert interrupted < convolution / 2, (
+            f"20 ms budget ran {interrupted * 1000:.0f} ms against"
+            f" {convolution * 1000:.0f} ms of unbudgeted convolution"
+        )
+        assert service.aggregate("ab", "count", "person") == reference
 
     def test_single_document_deadline_is_typed_at_the_engine(self, tmp_path):
         service = build_service(tmp_path, "single")

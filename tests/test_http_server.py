@@ -20,6 +20,7 @@ import json
 import os
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.data.addressbook import addressbook_documents
+from repro.dbms.cache_store import AnswerCacheStore
 from repro.dbms.service import DataspaceService, format_cache_stats
 from repro.server.app import ServerApp
 from repro.server.client import DataspaceClient, ServerError
@@ -380,6 +382,41 @@ class TestErrors:
         with pytest.raises(ServerError) as excinfo:
             client.load("bad/../name", "<r/>")
         assert excinfo.value.status in (400, 404)
+
+    def test_cache_write_contention_is_503_and_a_replay_lands(self, tmp_path):
+        """A sibling connection holds the shared cache's write lock, so
+        the PUT's invalidation exhausts its busy budget: 503 cache_busy
+        with Retry-After, not a 400.  Once the lock is released, a PUT
+        through a replaying client succeeds, bumps the fence, and the
+        query sees the new body."""
+        cache = AnswerCacheStore(
+            tmp_path / "cache", busy_timeout_ms=50, write_retries=2
+        )
+        service = DataspaceService(directory=tmp_path / "store", cache_store=cache)
+        app = ServerApp(service)
+        sibling = sqlite3.connect(str(cache.path), isolation_level=None)
+        try:
+            with BackgroundServer(app) as background:
+                host, port = background.server.host, background.server.port
+                with DataspaceClient(host, port, retry_503=2) as client:
+                    client.load("a", "<r><x>old</x></r>")
+                    assert client.query("a", "//x").values() == ["old"]
+                    version = cache.version("a")
+                    sibling.execute("BEGIN IMMEDIATE")
+                    status, retry_after, text = client._exchange(
+                        "PUT", "/documents/a", b"<r><x>new</x></r>", {}
+                    )
+                    assert status == 503
+                    assert retry_after == "1"
+                    assert json.loads(text)["error"]["type"] == "cache_busy"
+                    sibling.execute("ROLLBACK")
+                    client.load("a", "<r><x>new</x></r>")
+                    assert cache.version("a") > version
+                    assert client.query("a", "//x").values() == ["new"]
+        finally:
+            sibling.close()
+            app.close()
+            service.close()
 
     def test_error_does_not_kill_the_connection(self, live):
         client, _, _ = live

@@ -430,7 +430,7 @@ class TestNoSwallow:
     def test_out_of_scope_module_is_ignored(self, tmp_path):
         write_fixture(
             tmp_path,
-            "repro/server/app.py",  # the HTTP front maps, not swallows
+            "repro/cli.py",  # the CLI maps errors to exit codes
             """\
             def handle(step):
                 try:
@@ -463,6 +463,25 @@ class TestNoSwallow:
         ] == [("event_probability", "swallow:Exception")]
         # the real module itself has no broad handler
         write_fixture(tmp_path / "clean", "repro/pxml/events.py", source)
+        findings, _ = lint(tmp_path / "clean", rules=["no-swallow"])
+        assert findings == []
+
+    def test_seeded_mutation_of_real_service_module(self, tmp_path):
+        """The library's superclasses count: an ``except ImpreciseError``
+        in the service would eat CacheBusyError and DeadlineExceededError
+        alike, while the narrow ``MissingDocumentError`` the listing
+        catches cannot."""
+        source = (SRC / "repro/dbms/service.py").read_text(encoding="utf-8")
+        needle = "            except MissingDocumentError:\n"
+        assert source.count(needle) == 1
+        mutated = source.replace(needle, "            except ImpreciseError:\n")
+        write_fixture(tmp_path, "repro/dbms/service.py", mutated)
+        findings, _ = lint(tmp_path, rules=["no-swallow"])
+        assert [(f.qualname, f.detail) for f in findings] == [
+            ("DataspaceService.documents", "swallow:ImpreciseError")
+        ]
+        # the real module's narrow handler is clean
+        write_fixture(tmp_path / "clean", "repro/dbms/service.py", source)
         findings, _ = lint(tmp_path / "clean", rules=["no-swallow"])
         assert findings == []
 

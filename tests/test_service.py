@@ -13,9 +13,10 @@ from repro.core.rules import DeepEqualRule, LeafValueRule
 from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.dbms.service import DataspaceService
 from repro.dbms.store import DocumentStore
-from repro.errors import StoreError
+from repro.errors import FeedbackError, StoreError
 from repro.pxml.events_cache import registered_count
 from repro.query.engine import ProbQueryEngine
+from repro.xmlkit import parse_document
 
 RULES = [DeepEqualRule(), LeafValueRule()]
 WORKLOAD = [
@@ -24,6 +25,15 @@ WORKLOAD = [
     '//person[nm="John"]/tel',
     "//person",
 ]
+
+
+def stored_bytes(directory):
+    """Every file under ``directory``, as ``{relative path: bytes}``."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
 
 
 def shape(answer):
@@ -523,6 +533,58 @@ class TestCrossProcessFence:
             first.close()
             second.close()
 
+    def test_feedback_sees_the_siblings_write(self, tmp_path):
+        """Feedback conditions the document on disk, not a stale copy:
+        a sibling replaced the integrated 'ab' with one in which 1111
+        is not a possible tel, so feedback refuses and the sibling's
+        file survives instead of being overwritten by a posterior of
+        the old document."""
+        one, two = self.two_services(tmp_path)
+        try:
+            book_a, book_b = addressbook_documents()
+            one.load_document("a", book_a)
+            one.load_document("b", book_b)
+            one.integrate("a", "b", "ab", rules=RULES, dtd=ADDRESSBOOK_DTD)
+            assert "1111" in one.query("ab", "//person/tel").values()
+            two.load("ab", "<r><person><tel>3333</tel></person></r>")
+            on_disk = stored_bytes(tmp_path / "store")
+            with pytest.raises(FeedbackError, match="not a possible answer"):
+                one.feedback("ab", "//person/tel", "1111")
+            assert stored_bytes(tmp_path / "store") == on_disk
+            assert one.query("ab", "//person/tel").values() == ["3333"]
+        finally:
+            one.close()
+            two.close()
+
+    def test_integration_reads_the_current_source(self, tmp_path):
+        one, two = self.two_services(tmp_path)
+        try:
+            book_a, book_b = addressbook_documents()
+            one.load_document("a", book_a)
+            one.load_document("b", book_b)
+            one.integrate("a", "b", "ab", rules=RULES, dtd=ADDRESSBOOK_DTD)
+            new_a, _ = addressbook_documents([("John", "3333")])
+            two.load_document("a", new_a)
+            one.integrate("a", "b", "ab2", rules=RULES, dtd=ADDRESSBOOK_DTD)
+            tels = one.query("ab2", "//person/tel").values()
+            assert "3333" in tels and "1111" not in tels
+        finally:
+            one.close()
+            two.close()
+
+    def test_stats_count_the_siblings_write(self, tmp_path):
+        one, two = self.two_services(tmp_path)
+        try:
+            one.load("d", "<r><x>1</x></r>")
+            before = one.stats("d")
+            two.load("d", "<r><x>1</x><x>2</x><x>3</x></r>")
+            after = two.stats("d")
+            assert after != before
+            assert one.stats("d") == after
+        finally:
+            one.close()
+            two.close()
+
     def test_own_mutations_do_not_refresh(self, tmp_path):
         """The fence must not tax the single-process fast path: a
         service observing only its own mutations never drops its
@@ -699,12 +761,23 @@ class TestCloseLifecycle:
             lambda s: s.load("e", "<r/>"),
             lambda s: s.cache_stats(),
             lambda s: s.run_batch("d", ["//x"]),
+            lambda s: s.load_document("e", parse_document("<r/>")),
+            lambda s: s.delete("d"),
+            lambda s: s.integrate("d", "d", "e"),
+            lambda s: s.feedback("d", "//x", "1"),
         ],
-        ids=["query", "aggregate", "load", "cache_stats", "run_batch"],
+        ids=[
+            "query", "aggregate", "load", "cache_stats", "run_batch",
+            "load_document", "delete", "integrate", "feedback",
+        ],
     )
     def test_every_cached_call_after_close_is_typed(self, tmp_path, call):
+        """Typed, and refused before anything is written: a mutation on
+        a closed cache leaves the store's bytes as they were."""
         service = self.cached(tmp_path)
         service.query("d", "//x")
         service.close()
+        on_disk = stored_bytes(tmp_path / "store")
         with pytest.raises(StoreError, match="closed"):
             call(service)
+        assert stored_bytes(tmp_path / "store") == on_disk

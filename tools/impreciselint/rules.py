@@ -497,15 +497,16 @@ def _cycles(edges: dict) -> list:
 
 # -- no-swallow ---------------------------------------------------------------
 
-#: Supervisor / fault-hook modules, plus the pricing path a deadline is
-#: raised from: the self-healing story depends on
-#: :class:`~repro.errors.CacheBusyError` and
+#: Supervisor / fault-hook modules, the HTTP status mapping, plus the
+#: pricing path a deadline is raised from: the self-healing story
+#: depends on :class:`~repro.errors.CacheBusyError` and
 #: :class:`~repro.errors.DeadlineExceededError` reaching their sanctioned
 #: handling points (absorb-and-count, the fan-out's omitted tail, HTTP
-#: 504) — a handler here that could catch one and not re-raise hides a
-#: fault instead of healing it.
+#: 503 and 504) — a handler here that could catch one and not re-raise
+#: hides a fault instead of healing it.
 NO_SWALLOW_SCOPE = (
     "repro/server/multiproc.py",
+    "repro/server/app.py",
     "repro/dbms/service.py",
     "repro/dbms/cache_store.py",
     "repro/testing/faults.py",
@@ -517,9 +518,19 @@ NO_SWALLOW_SCOPE = (
 )
 
 #: The two critical exceptions, plus every umbrella type (and the bare
-#: ``except:``, handled separately) whose handler would catch them.
+#: ``except:``, handled separately) whose handler would catch them:
+#: the library's own superclasses (``CacheBusyError`` is a
+#: ``StoreError``, and both are ``ImpreciseError``\ s) as well as the
+#: builtin ones.
 _NO_SWALLOW_CRITICAL = frozenset(
-    {"CacheBusyError", "DeadlineExceededError", "Exception", "BaseException"}
+    {
+        "CacheBusyError",
+        "DeadlineExceededError",
+        "StoreError",
+        "ImpreciseError",
+        "Exception",
+        "BaseException",
+    }
 )
 
 
