@@ -45,39 +45,44 @@ readers); one :class:`AnswerCacheStore` serializes its own statements
 behind a lock, so a single instance may be shared by many threads.
 
 **Many processes, one file** (the ``imprecise serve --workers N``
-deployment) is safe by construction:
+deployment) is safe by construction: the journal is WAL, so readers
+never block writers; every write is a ``BEGIN IMMEDIATE`` transaction,
+so it never fails mid-way on a lock upgrade; and the per-name
+``versions`` table is the **cross-process invalidation fence** — every
+lookup compares the row's recorded version against the current one,
+and :meth:`~AnswerCacheStore.version` lets a service observe another
+process's invalidation (see ``DataspaceService``'s fence check).
 
-* the journal is WAL, so readers never block writers and vice versa;
-* every connection sets ``PRAGMA busy_timeout``, so a write that meets
-  another process's write transaction *waits* instead of failing with
-  ``SQLITE_BUSY``;
-* every write runs as a ``BEGIN IMMEDIATE`` transaction — the write
-  lock is taken up front, so a transaction can never fail mid-way on a
-  lock upgrade — with a bounded retry loop on top of the timeout; a
-  budget exhausted under pathological contention surfaces as the typed
-  :class:`~repro.errors.CacheBusyError`, never as a raw
-  ``sqlite3.OperationalError: database is locked``;
-* the per-name ``versions`` table is the **cross-process invalidation
-  fence**: every lookup compares the row's recorded version against the
-  current one, and :meth:`~AnswerCacheStore.version` lets a service
-  observe another process's invalidation and drop its own in-memory
-  state (see ``DataspaceService``'s fence check).
+**The fault rules are written once**, in routines every public method
+goes through, and a raw ``sqlite3`` exception never escapes this module
+for a corrupt or contended file.  The cache is derived data — every row
+can be recomputed from the document store — so a corrupt file
+(truncated, garbled, torn WAL) costs warmth, never correctness: it moves
+aside to the first free ``answers.sqlite.corrupt-N`` slot (``-wal`` and
+``-shm`` journals included, kept for post-mortems) and an empty cache is
+rebuilt at the path.
 
-**Corruption is quarantined, never fatal.**  The cache is derived data —
-every row can be recomputed from the document store — so a corrupted
-file (truncated, garbled, torn WAL) costs warmth, never correctness or
-availability.  When an open, read or write classifies as corruption
-(:meth:`~AnswerCacheStore._is_corruption`; transient ``busy``/``locked``
-contention is explicitly *not* corruption), the store moves the file
-aside to the first free ``answers.sqlite.corrupt-N`` slot (sidecar
-``-wal``/``-shm`` journals included, kept for post-mortems), rebuilds an
-empty cache at the original path, and carries on — reads return misses,
-writes land in the fresh file, and the ``persistent_recoveries`` counter
-ticks.  Siblings sharing the file follow the swap by inode: every public
-operation stats the path first and reconnects when the inode changed, so
-a fleet member holding a descriptor to the quarantined inode joins the
-healthy replacement instead of quarantining it.  A raw ``sqlite3``
-exception never escapes this module for a corrupt file.
+* :meth:`~AnswerCacheStore._connect_locked` is the one connect: it sets
+  ``busy_timeout``, switches to WAL and creates the tables under the
+  busy budget, restarts recency from the file's clock, records the inode.
+* :meth:`~AnswerCacheStore._enter_locked` is the one entry check: a
+  closed store raises :class:`~repro.errors.StoreError`; a moved inode
+  (a sibling's quarantine swap) reconnects, so the sibling joins the
+  healthy replacement instead of quarantining it; a file found corrupt
+  on the way in is quarantined by
+  :meth:`~AnswerCacheStore._open_locked` — the only place that
+  quarantines — and the operation runs on the rebuilt file.
+* :meth:`~AnswerCacheStore._read_locked` is the one lookup funnel: a
+  statement that finds the file corrupt quarantines it and answers as an
+  empty cache.
+* :meth:`~AnswerCacheStore._retry_locked` is the one retry loop, under
+  the write transaction and the WAL switch: busy (never corruption)
+  backs off, then raises the typed :class:`~repro.errors.CacheBusyError`;
+  corruption in a write quarantines and retries on the fresh file.
+
+:attr:`~AnswerCacheStore.recoveries` (``persistent_recoveries``) moves
+exactly when the instance moves to a new file, so it names the file
+generation a version belongs to.
 """
 
 from __future__ import annotations
@@ -90,8 +95,9 @@ import sqlite3
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, TypeVar, Union
 
 from ..errors import CacheBusyError, StoreError, WireFormatError
 from ..pxml.model import PXDocument
@@ -140,6 +146,18 @@ WRITE_RETRIES = 5
 #: Strict wire shape: optional sign, digits, '/', digits — no whitespace
 #: (``int()`` alone would tolerate ``"1 /2"``), no floats, no hex.
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
+
+_T = TypeVar("_T")
+
+_ANSWER_ROW = (
+    "SELECT payload, doc_version FROM answers"
+    " WHERE doc_name = ? AND doc_digest = ? AND plan_digest = ?"
+)
+_AGGREGATE_ROW = (
+    "SELECT payload, doc_version FROM aggregates"
+    " WHERE doc_name = ? AND doc_digest = ? AND agg_digest = ?"
+)
+_REMEMBER_PLAN = "INSERT OR REPLACE INTO plans VALUES (?, ?)"
 
 
 def document_digest(document: Union[XDocument, PXDocument]) -> str:
@@ -346,14 +364,8 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         self.busy_timeout_ms = busy_timeout_ms
         self.write_retries = write_retries
         self._lock = threading.Lock()
-        # isolation_level=None: the connection stays in autocommit and
-        # *this module* frames every write as an explicit BEGIN IMMEDIATE
-        # transaction (the driver's implicit DEFERRED transactions would
-        # acquire the write lock mid-transaction — exactly the upgrade
-        # path that fails unrecoverably under multi-process contention).
-        self._conn = sqlite3.connect(
-            str(path), check_same_thread=False, isolation_level=None
-        )
+        #: Set by :meth:`_connect_locked`, the one place a handle opens.
+        self._conn: sqlite3.Connection
         self.hits = 0
         self.misses = 0
         self.stored = 0
@@ -363,10 +375,15 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         self.invalidations = 0
         self.evictions = 0
         self.busy_retries = 0
+        #: The file generation: moves by one each time this instance
+        #: moves to a new file — a quarantine, or following a sibling's
+        #: swap — and at no other time, so a (generation, version) pair
+        #: names one state of one file (see ``DataspaceService``'s fence).
         self.recoveries = 0
-        self._recovering = False
         #: Set by :meth:`close`; every later operation raises typed.
         self._closed = False
+        #: Inode of the connected file; ``None`` until a connect finishes,
+        #: which is how :meth:`_retry_locked` tells connecting apart.
         self._inode: Optional[int] = None
         #: Pending recency updates, (name, doc_digest, plan_digest) ->
         #: stamp.  Bounded stores buffer hit recency here instead of
@@ -377,28 +394,16 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         self._touches: dict[tuple[str, str, str], int] = {}
         self._clock: int = 0
         with self._lock:
-            try:
-                self._init_schema()
-                self._clock = int(
-                    self._conn.execute(
-                        "SELECT COALESCE(MAX(last_hit), 0) FROM answers"
-                    ).fetchone()[0]
-                )
-                self._record_inode_locked()
-            except sqlite3.DatabaseError as error:
-                # A corrupt file on open is quarantined and rebuilt —
-                # opening a cache must never fail because a previous
-                # process died mid-write.
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
+            self._open_locked(None)
 
-    # -- write transactions -------------------------------------------------
+    # -- fault classification -----------------------------------------------
 
     @staticmethod
-    def _is_busy(error: sqlite3.OperationalError) -> bool:
+    def _is_busy(error: sqlite3.DatabaseError) -> bool:
         text = str(error).lower()
-        return "locked" in text or "busy" in text
+        return isinstance(error, sqlite3.OperationalError) and (
+            "locked" in text or "busy" in text
+        )
 
     #: ``sqlite3.OperationalError`` messages that mean the file itself is
     #: damaged (vs. transient contention): torn pages, a non-SQLite file
@@ -433,27 +438,93 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
             return any(marker in text for marker in cls._CORRUPTION_MARKERS)
         return True
 
-    # -- corruption quarantine ----------------------------------------------
+    # -- the fault rules ----------------------------------------------------
 
-    def _record_inode_locked(self) -> None:
-        """Remember which inode currently backs ``self.path`` (the swap
-        detector for sibling-process recoveries)."""
+    def _path_inode(self) -> Optional[int]:
+        """The inode now at ``self.path``, or ``None`` when it is gone."""
         try:
-            self._inode = os.stat(self.path).st_ino
+            return os.stat(self.path).st_ino
         except OSError:
-            self._inode = None
+            return None
 
-    def _quarantine_locked(self) -> Optional[Path]:
+    def _connect_locked(self) -> None:
+        """The one connect routine (caller holds the lock): open a handle
+        on ``self.path``, set ``busy_timeout``, switch to WAL and create
+        the tables — both under the busy budget — restart recency from
+        the file's clock, and record the inode last (before the tables
+        exist the file may not be on disk yet).  Corruption met on the
+        way propagates to :meth:`_open_locked`."""
+        self._inode = None
+        # isolation_level=None: the connection stays in autocommit and
+        # *this module* frames every write as an explicit BEGIN IMMEDIATE
+        # transaction (the driver's implicit DEFERRED transactions would
+        # acquire the write lock mid-transaction — exactly the upgrade
+        # path that fails unrecoverably under multi-process contention).
+        self._conn = sqlite3.connect(
+            str(self.path), check_same_thread=False, isolation_level=None
+        )
+        # The WAL switch runs in autocommit (journal_mode cannot change
+        # inside a transaction) and needs an exclusive lock, which SQLite
+        # refuses at once, without the busy wait, while a sibling holds
+        # a write transaction: the retry loop's backoff absorbs that.
+        self._conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_ms)}")
+        self._retry_locked(partial(self._conn.execute, "PRAGMA journal_mode=WAL"))
+        self._write_txn_locked(self._create_tables_locked)
+        self._touches.clear()
+        self._clock = self._file_clock_locked()
+        self._inode = self._path_inode()
+
+    def _open_locked(self, corrupt: Optional[sqlite3.DatabaseError]) -> None:
+        """Connect to the file at ``self.path`` (caller holds the lock);
+        the one place a corrupt file is quarantined.
+
+        ``corrupt`` is the error by which a statement found the current
+        file corrupt.  Then, or when connecting finds the file corrupt,
+        the file moves aside to ``<name>.corrupt-N`` and an empty cache
+        is rebuilt at the path: the cache is derived data, so corruption
+        costs warmth, never correctness.  Corruption striking again on
+        the fresh file (a wrecked filesystem, not a wrecked file) raises
+        :class:`~repro.errors.StoreError` instead of looping.  Leaving a
+        file — quarantined, or swapped out by a sibling — counts exactly
+        one recovery."""
+        moved = corrupt is not None or self._inode is not None
+        try:
+            if corrupt is None:
+                try:
+                    self._connect_locked()
+                    return
+                except sqlite3.DatabaseError as error:
+                    if not self._is_corruption(error):
+                        raise
+                    moved = True
+            self._close_conn_locked()
+            self._quarantine_locked()
+            try:
+                self._connect_locked()
+            except sqlite3.DatabaseError as error:
+                raise StoreError(
+                    f"answer cache at {self.path} failed again while"
+                    f" rebuilding after corruption: {error}"
+                ) from error
+        finally:
+            if moved:
+                self.recoveries += 1
+
+    def _close_conn_locked(self) -> None:
+        try:
+            self._conn.close()
+        except sqlite3.Error:
+            pass  # a wrecked or stale handle; the file is left regardless
+
+    def _quarantine_locked(self) -> None:
         """Move the (presumed corrupt) cache file aside to the first free
-        ``<name>.corrupt-N`` slot, sidecar journals included.
-
-        Returns the quarantine path, or ``None`` when the file is already
-        gone — e.g. a sibling process quarantined it first."""
+        ``<name>.corrupt-N`` slot, sidecar journals included — unless it
+        is already gone, e.g. a sibling process quarantined it first."""
         sidecars = ("-wal", "-shm")
         if not self.path.exists():
             for suffix in sidecars:
                 Path(str(self.path) + suffix).unlink(missing_ok=True)
-            return None
+            return
         number = 1
         while Path(f"{self.path}.corrupt-{number}").exists():
             number += 1
@@ -461,156 +532,108 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         try:
             self.path.rename(target)
         except OSError:
-            return None  # raced a sibling's quarantine; theirs won
+            return  # raced a sibling's quarantine; theirs won
         for suffix in sidecars:
             sidecar = Path(str(self.path) + suffix)
             try:
                 sidecar.rename(Path(str(target) + suffix))
             except OSError:
                 pass  # no journal to preserve
-        return target
 
-    def _recover_locked(self, cause: sqlite3.DatabaseError) -> None:
-        """Quarantine the corrupt cache file and rebuild an empty one
-        (caller holds the instance lock).
+    def _enter_locked(self) -> None:
+        """The one entry check, run first under the lock by every public
+        operation but :meth:`close`.
 
-        The cache is derived data: every row can be recomputed from the
-        document store, so corruption costs warmth, never correctness.
-        The damaged file is moved aside (``*.corrupt-N``) rather than
-        deleted, for post-mortems.  Corruption striking *again* while
-        rebuilding (a wrecked filesystem, not a wrecked file) aborts
-        with :class:`~repro.errors.StoreError` instead of looping."""
-        if self._recovering:
-            raise StoreError(
-                f"answer cache at {self.path} failed again while rebuilding"
-                f" after corruption: {cause}"
-            ) from cause
-        self._recovering = True
-        try:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass  # the handle is already wrecked; quarantine regardless
-            self._quarantine_locked()
-            self._conn = sqlite3.connect(
-                str(self.path), check_same_thread=False, isolation_level=None
-            )
-            self._init_schema()
-            self._touches.clear()
-            self._clock = 0
-            self._record_inode_locked()
-            self.recoveries += 1
-        finally:
-            self._recovering = False
-
-    def _ensure_current_locked(self) -> None:
-        """Follow a sibling process's quarantine swap (caller holds the
-        instance lock).
-
+        A closed store refuses with :class:`~repro.errors.StoreError` —
+        instead of the driver's raw ``ProgrammingError``, and before a
+        file swap could reopen the connection :meth:`close` released.
         Recovery renames the corrupt file and creates a fresh one at the
-        same path; a sibling still holds a descriptor to the *renamed*
-        (corrupt) inode.  Every public operation therefore stats the
-        path first and reconnects when the backing inode changed or
-        vanished — the sibling never quarantines the healthy
-        replacement, it simply joins it (counted as a recovery).
-
-        Being the one funnel every public operation but :meth:`close`
-        passes through, this is also where a closed store refuses work
-        with :class:`~repro.errors.StoreError` — instead of the driver's
-        raw ``ProgrammingError``, and before a file swap could reopen
-        the connection :meth:`close` released."""
+        same path, so a sibling still holding a descriptor to the
+        *renamed* inode reconnects when the inode at the path moved: it
+        joins the healthy replacement instead of quarantining it.  A
+        file found corrupt on the way in is quarantined and rebuilt
+        (:meth:`_open_locked`), and the operation runs on the new file.
+        """
         if self._closed:
             raise StoreError(f"answer cache at {self.path} is closed")
-        try:
-            inode: Optional[int] = os.stat(self.path).st_ino
-        except OSError:
-            inode = None
-        if inode is not None and inode == self._inode:
-            return
-        try:
-            self._conn.close()
-        except sqlite3.Error:
-            pass  # stale handle to the quarantined inode
-        self._conn = sqlite3.connect(
-            str(self.path), check_same_thread=False, isolation_level=None
-        )
-        self._init_schema()
-        self._touches.clear()
-        self._clock = 0
-        self._record_inode_locked()
-        self.recoveries += 1
+        inode = self._path_inode()
+        if inode is None or inode != self._inode:
+            self._close_conn_locked()
+            self._open_locked(None)
 
-    def _write_txn_locked(self, apply: Callable[[], None]) -> None:
-        """Run ``apply`` as one ``BEGIN IMMEDIATE`` write transaction
-        (caller holds the instance lock).
+    def _read_locked(self, query: Callable[..., _T], empty: _T, *args: object) -> _T:
+        """The one lookup funnel (caller holds the lock): the entry
+        check, then ``query(*args)``.  A statement that finds the file
+        corrupt quarantines it and answers ``empty`` — the rebuilt cache
+        holds nothing."""
+        self._enter_locked()
+        try:
+            return query(*args)
+        except sqlite3.DatabaseError as error:
+            if not self._is_corruption(error):
+                raise
+            self._open_locked(error)
+            return empty
 
-        ``BEGIN IMMEDIATE`` takes the database write lock up front — so
-        the transaction either starts with the lock or fails cleanly at
-        ``BEGIN``, never half-way through on a deferred lock upgrade.
-        Each attempt already waits ``busy_timeout_ms`` inside SQLite; the
-        bounded retry loop on top covers writer convoys across N serving
+    def _retry_locked(self, attempt: Callable[[], object]) -> None:
+        """The one retry loop (caller holds the lock), shared by the write
+        transaction and the WAL switch.
+
+        A write attempt already waits ``busy_timeout_ms`` inside SQLite;
+        the bounded loop on top covers writer convoys across N serving
         processes, and exhaustion raises the typed
         :class:`~repro.errors.CacheBusyError` (callers must never see a
-        raw ``database is locked``).  An attempt that classifies as file
-        *corruption* quarantines and rebuilds the cache
-        (:meth:`_recover_locked`) and retries against the fresh file —
-        the raw driver exception never escapes for a damaged file either.
-        """
+        raw ``database is locked``).  An attempt that finds the file
+        corrupt quarantines and rebuilds it (:meth:`_open_locked`) and
+        retries against the fresh file — unless a connect is under way,
+        whose corruption is :meth:`_open_locked`'s to handle."""
         last: Optional[sqlite3.DatabaseError] = None
-        for attempt in range(self.write_retries):
-            if attempt:
+        for number in range(self.write_retries):
+            if number:
                 self.busy_retries += 1
                 # Exponential backoff between attempts, on top of the
                 # in-driver busy wait; capped so a contended close()
                 # never stalls for seconds.
                 # impreciselint: disable=float-taint -- backoff seconds, not probability
-                time.sleep(min(0.1, 0.005 * (1 << attempt)))
+                time.sleep(min(0.1, 0.005 * (1 << number)))
             try:
-                self._conn.execute("BEGIN IMMEDIATE")
-            except sqlite3.DatabaseError as error:
-                if isinstance(error, sqlite3.OperationalError) and \
-                        self._is_busy(error):
-                    last = error
-                    continue
-                if self._is_corruption(error):
-                    self._recover_locked(error)
-                    last = error
-                    continue
-                raise
-            try:
-                apply()
-                self._conn.execute("COMMIT")
+                attempt()
                 return
             except sqlite3.DatabaseError as error:
-                try:
-                    self._conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass  # the transaction never started or already died
-                if isinstance(error, sqlite3.OperationalError) and \
-                        self._is_busy(error):
-                    last = error
+                last = error
+                if self._is_busy(error):
                     continue
-                if self._is_corruption(error):
-                    self._recover_locked(error)
-                    last = error
-                    continue
-                raise
+                if self._inode is None or not self._is_corruption(error):
+                    raise
+                self._open_locked(error)
         raise CacheBusyError(
             f"cache write on {self.path} still locked after"
             f" {self.write_retries} attempts"
             f" (busy_timeout {self.busy_timeout_ms} ms)"
         ) from last
 
-    # -- schema -------------------------------------------------------------
+    def _write_txn_locked(self, apply: Callable[[], None]) -> None:
+        """Run ``apply`` as one ``BEGIN IMMEDIATE`` write transaction under
+        :meth:`_retry_locked` (caller holds the lock).
 
-    def _init_schema(self) -> None:
-        conn = self._conn
-        # Pragmas run in autocommit (journal_mode cannot change inside a
-        # transaction); busy_timeout first, so even the WAL switch waits
-        # politely when another process is mid-write.
-        conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_ms)}")
-        conn.execute("PRAGMA journal_mode=WAL")
-        self._write_txn_locked(self._create_tables_locked)
+        ``BEGIN IMMEDIATE`` takes the database write lock up front — so
+        the transaction either starts with the lock or fails cleanly at
+        ``BEGIN``, never half-way through on a deferred lock upgrade."""
+        self._retry_locked(partial(self._txn_attempt_locked, apply))
+
+    def _txn_attempt_locked(self, apply: Callable[[], None]) -> None:
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            apply()
+            self._conn.execute("COMMIT")
+        except sqlite3.DatabaseError:
+            try:
+                self._conn.execute("ROLLBACK")
+            except sqlite3.Error:
+                pass  # the transaction never started or already died
+            raise
+
+    # -- schema -------------------------------------------------------------
 
     def _create_tables_locked(self) -> None:
         conn = self._conn
@@ -688,6 +711,18 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
                 (str(SCHEMA_VERSION),),
             )
 
+    def _run_locked(self, sql: str, params: tuple[object, ...] = ()) -> Any:
+        """Execute one statement; its first row, or ``None``."""
+        return self._conn.execute(sql, params).fetchone()
+
+    def _file_clock_locked(self) -> int:
+        """The file-global LRU clock: the largest ``last_hit`` stamp (an
+        indexed lookup)."""
+        clock: int = self._run_locked(
+            "SELECT COALESCE(MAX(last_hit), 0) FROM answers"
+        )[0]
+        return clock
+
     # -- plan memo ----------------------------------------------------------
 
     def plan_digest(self, expression: str) -> Optional[str]:
@@ -697,17 +732,12 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         re-compiling the expression (exact string match only; distinct
         spellings converge once compiled and remembered)."""
         with self._lock:
-            try:
-                self._ensure_current_locked()
-                row = self._conn.execute(
-                    "SELECT plan_digest FROM plans WHERE expression = ?",
-                    (expression,),
-                ).fetchone()
-            except sqlite3.DatabaseError as error:
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
-                row = None
+            row = self._read_locked(
+                self._run_locked,
+                None,
+                "SELECT plan_digest FROM plans WHERE expression = ?",
+                (expression,),
+            )
         if row is None:
             return None
         digest: str = row[0]
@@ -715,17 +745,22 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
 
     def remember_plan(self, expression: str, plan_digest: str) -> None:
         """Persist the expression → fingerprint-digest mapping."""
-        def apply() -> None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO plans VALUES (?, ?)",
-                (expression, plan_digest),
+        with self._lock:
+            self._enter_locked()
+            self._write_txn_locked(
+                partial(self._run_locked, _REMEMBER_PLAN, (expression, plan_digest))
             )
 
-        with self._lock:
-            self._ensure_current_locked()
-            self._write_txn_locked(apply)
-
     # -- answers ------------------------------------------------------------
+
+    def _row_locked(self, sql: str, key: tuple[str, str, str]) -> Optional[str]:
+        """Payload of the answer or aggregate row at ``key`` — ``None``
+        when absent or written before the name's last invalidation."""
+        row = self._run_locked(sql, key)
+        if row is None or row[1] != self._version_locked(key[0]):
+            return None
+        payload: str = row[0]
+        return payload
 
     def get(
         self,
@@ -741,34 +776,22 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         double-checked lookups (an optimistic probe followed by an
         under-lock re-probe) that would otherwise count one logical miss
         twice."""
+        key = (doc_name, doc_digest, plan_digest)
         with self._lock:
-            try:
-                self._ensure_current_locked()
-                row = self._conn.execute(
-                    "SELECT payload, doc_version FROM answers"
-                    " WHERE doc_name = ? AND doc_digest = ? AND plan_digest = ?",
-                    (doc_name, doc_digest, plan_digest),
-                ).fetchone()
-                if row is not None and row[1] != self._version_locked(doc_name):
-                    row = None  # written before an invalidation; ignore
-            except sqlite3.DatabaseError as error:
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
-                row = None  # the rebuilt cache is empty: a plain miss
-            if row is not None and self.max_rows is not None:
+            payload = self._read_locked(self._row_locked, None, _ANSWER_ROW, key)
+            if payload is not None and self.max_rows is not None:
                 # Bounded stores maintain recency — buffered in memory,
                 # so the hit path stays free of writes and fsyncs.
                 self._clock += 1
-                self._touches[(doc_name, doc_digest, plan_digest)] = self._clock
+                self._touches[key] = self._clock
             if record:
-                if row is None:
+                if payload is None:
                     self.misses += 1
                 else:
                     self.hits += 1
-        if row is None:
+        if payload is None:
             return None
-        return _decode_answer(row[0])
+        return _decode_answer(payload)
 
     def put(
         self,
@@ -788,40 +811,46 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         — that is the fence the module docstring describes.  Defaults to
         the current version (no interleaving possible, e.g. writes under
         the caller's own lock)."""
+        key = (doc_name, doc_digest, plan_digest)
         payload = _encode_answer(answer)
         evicted = 0
 
         def apply() -> None:
             nonlocal evicted
-            evicted = 0
-            self._flush_touches_locked()
-            self._conn.execute(
-                "INSERT OR REPLACE INTO answers VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    doc_name,
-                    doc_digest,
-                    plan_digest,
-                    expression,
-                    payload,
-                    version
-                    if version is not None
-                    else self._version_locked(doc_name),
-                    self._next_stamp_locked(),
-                ),
-            )
-            if expression is not None:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO plans VALUES (?, ?)",
-                    (expression, plan_digest),
-                )
-            evicted = self._evict_locked()
+            evicted = self._put_answer_locked(key, expression, payload, version)
 
         with self._lock:
-            self._ensure_current_locked()
+            self._enter_locked()
             self._write_txn_locked(apply)
             self._touches.clear()
             self.evictions += evicted
             self.stored += 1
+
+    def _put_answer_locked(
+        self,
+        key: tuple[str, str, str],
+        expression: Optional[str],
+        payload: str,
+        version: Optional[int],
+    ) -> int:
+        """The body of :meth:`put`'s transaction.  Returns the evicted
+        row count — the caller adds it to ``evictions`` only once the
+        transaction commits (a rolled-back, retried attempt must not
+        double-count)."""
+        self._flush_touches_locked()
+        self._conn.execute(
+            "INSERT OR REPLACE INTO answers VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                *key,
+                expression,
+                payload,
+                version if version is not None else self._version_locked(key[0]),
+                self._next_stamp_locked(),
+            ),
+        )
+        if expression is not None:
+            self._conn.execute(_REMEMBER_PLAN, (expression, key[2]))
+        return self._evict_locked()
 
     # -- aggregates ---------------------------------------------------------
 
@@ -839,28 +868,20 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         rows' plan digest.  ``record=False`` skips the hit/miss counters
         (double-checked lookups, as in :meth:`get`)."""
         with self._lock:
-            try:
-                self._ensure_current_locked()
-                row = self._conn.execute(
-                    "SELECT payload, doc_version FROM aggregates"
-                    " WHERE doc_name = ? AND doc_digest = ? AND agg_digest = ?",
-                    (doc_name, doc_digest, agg_digest),
-                ).fetchone()
-                if row is not None and row[1] != self._version_locked(doc_name):
-                    row = None  # written before an invalidation; ignore
-            except sqlite3.DatabaseError as error:
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
-                row = None  # the rebuilt cache is empty: a plain miss
+            payload = self._read_locked(
+                self._row_locked,
+                None,
+                _AGGREGATE_ROW,
+                (doc_name, doc_digest, agg_digest),
+            )
             if record:
-                if row is None:
+                if payload is None:
                     self.aggregate_misses += 1
                 else:
                     self.aggregate_hits += 1
-        if row is None:
+        if payload is None:
             return None
-        return _decode_aggregate(row[0])
+        return _decode_aggregate(payload)
 
     def put_aggregate(
         self,
@@ -876,43 +897,44 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         spec digest) keys; ``version`` is the same invalidation fence
         :meth:`put` documents (``spec`` is a human-readable description,
         stored for diagnostics only)."""
+        key = (doc_name, doc_digest, agg_digest)
         payload = _encode_aggregate(distribution)
-
-        def apply() -> None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO aggregates VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    doc_name,
-                    doc_digest,
-                    agg_digest,
-                    spec,
-                    payload,
-                    version
-                    if version is not None
-                    else self._version_locked(doc_name),
-                ),
-            )
-
         with self._lock:
-            self._ensure_current_locked()
-            self._write_txn_locked(apply)
+            self._enter_locked()
+            self._write_txn_locked(
+                partial(self._put_aggregate_locked, key, spec, payload, version)
+            )
             self.aggregate_stored += 1
+
+    def _put_aggregate_locked(
+        self,
+        key: tuple[str, str, str],
+        spec: Optional[str],
+        payload: str,
+        version: Optional[int],
+    ) -> None:
+        self._conn.execute(
+            "INSERT OR REPLACE INTO aggregates VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                *key,
+                spec,
+                payload,
+                version if version is not None else self._version_locked(key[0]),
+            ),
+        )
 
     def _next_stamp_locked(self) -> int:
         """The next value of the LRU clock: past both this instance's
-        in-memory clock and the file's MAX (an indexed lookup), so the
-        ordering is shared by every process writing this file."""
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(last_hit), 0) FROM answers"
-        ).fetchone()
-        self._clock = max(self._clock, row[0]) + 1
+        in-memory clock and the file's, so the ordering is shared by
+        every process writing this file."""
+        self._clock = max(self._clock, self._file_clock_locked()) + 1
         return self._clock
 
     def _flush_touches_locked(self) -> None:
         """Write buffered hit-recency stamps (caller holds the lock and
         commits); rows that vanished meanwhile are silent no-ops.
 
-        Stamps are rebased above the file's current MAX at flush time —
+        Stamps are rebased above the file's current clock at flush time —
         another process may have advanced the file clock past this
         instance's buffered values, and flushing stale stamps would rank
         this instance's hottest rows as the oldest.  Relative order
@@ -921,12 +943,7 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         attempt re-flushes the same stamps instead of dropping them."""
         if not self._touches:
             return
-        stamp: int = max(
-            self._conn.execute(
-                "SELECT COALESCE(MAX(last_hit), 0) FROM answers"
-            ).fetchone()[0],
-            0,
-        )
+        stamp = self._file_clock_locked()
         updates: list[tuple[int, str, str, str]] = []
         for key, _ in sorted(self._touches.items(), key=lambda entry: entry[1]):
             stamp += 1
@@ -941,14 +958,10 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
     def _evict_locked(self) -> int:
         """Drop least-recently-hit rows beyond ``max_rows`` (no-op when
         unbounded); caller holds the lock, inside a write transaction.
-        Returns the evicted row count — the caller adds it to the
-        ``evictions`` counter only once the transaction commits (a
-        rolled-back, retried attempt must not double-count)."""
+        Returns the evicted row count."""
         if self.max_rows is None:
             return 0
-        count: int = self._conn.execute(
-            "SELECT COUNT(*) FROM answers"
-        ).fetchone()[0]
+        count: int = self._run_locked("SELECT COUNT(*) FROM answers")[0]
         overflow = count - self.max_rows
         if overflow <= 0:
             return 0
@@ -963,25 +976,19 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
     # -- invalidation -------------------------------------------------------
 
     def _version_locked(self, doc_name: str) -> int:
-        row = self._conn.execute(
+        row = self._run_locked(
             "SELECT version FROM versions WHERE doc_name = ?", (doc_name,)
-        ).fetchone()
+        )
         if row is None:
             return 0
         version: int = row[0]
         return version
 
     def version(self, doc_name: str) -> int:
-        """Monotonic invalidation counter of a document name (0 initially)."""
+        """Monotonic invalidation counter of a document name (0 initially,
+        and 0 again on a rebuilt file: pair it with :attr:`recoveries`)."""
         with self._lock:
-            try:
-                self._ensure_current_locked()
-                return self._version_locked(doc_name)
-            except sqlite3.DatabaseError as error:
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
-                return 0  # the rebuilt cache has no version rows yet
+            return self._read_locked(self._version_locked, 0, doc_name)
 
     def invalidate_document(self, doc_name: str) -> int:
         """Drop every persisted answer of ``doc_name`` and bump its version.
@@ -994,77 +1001,59 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
 
         def apply() -> None:
             nonlocal dropped
-            cursor = self._conn.execute(
-                "DELETE FROM answers WHERE doc_name = ?", (doc_name,)
-            )
-            dropped = cursor.rowcount
-            self._conn.execute(
-                "DELETE FROM aggregates WHERE doc_name = ?", (doc_name,)
-            )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO versions VALUES"
-                " (?, COALESCE((SELECT version FROM versions WHERE"
-                " doc_name = ?), 0) + 1)",
-                (doc_name, doc_name),
-            )
+            dropped = self._invalidate_locked(doc_name)
 
         with self._lock:
-            self._ensure_current_locked()
+            self._enter_locked()
             for key in [k for k in self._touches if k[0] == doc_name]:
                 del self._touches[key]  # never resurrect recency on re-put
             self._write_txn_locked(apply)
             self.invalidations += 1
         return dropped
 
+    def _invalidate_locked(self, doc_name: str) -> int:
+        dropped: int = self._conn.execute(
+            "DELETE FROM answers WHERE doc_name = ?", (doc_name,)
+        ).rowcount
+        self._conn.execute("DELETE FROM aggregates WHERE doc_name = ?", (doc_name,))
+        self._conn.execute(
+            "INSERT OR REPLACE INTO versions VALUES"
+            " (?, COALESCE((SELECT version FROM versions WHERE"
+            " doc_name = ?), 0) + 1)",
+            (doc_name, doc_name),
+        )
+        return dropped
+
     def clear(self) -> None:
         """Drop every answer and plan row (versions are kept)."""
-
-        def apply() -> None:
-            self._conn.execute("DELETE FROM answers")
-            self._conn.execute("DELETE FROM aggregates")
-            self._conn.execute("DELETE FROM plans")
-
         with self._lock:
-            self._ensure_current_locked()
+            self._enter_locked()
             self._touches.clear()
-            self._write_txn_locked(apply)
+            self._write_txn_locked(self._clear_locked)
+
+    def _clear_locked(self) -> None:
+        for table in ("answers", "aggregates", "plans"):
+            self._conn.execute(f"DELETE FROM {table}")
 
     # -- diagnostics --------------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
-            try:
-                self._ensure_current_locked()
-                row = self._conn.execute(
-                    "SELECT COUNT(*) FROM answers"
-                ).fetchone()
-            except sqlite3.DatabaseError as error:
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
-                row = (0,)
-        count: int = row[0]
+            count: int = self._read_locked(
+                self._run_locked, (0,), "SELECT COUNT(*) FROM answers"
+            )[0]
         return count
 
     def stats(self) -> dict[str, int]:
         """Process-local counters plus on-disk row counts."""
         with self._lock:
-            try:
-                self._ensure_current_locked()
-                answers: int = self._conn.execute(
-                    "SELECT COUNT(*) FROM answers"
-                ).fetchone()[0]
-                aggregates: int = self._conn.execute(
-                    "SELECT COUNT(*) FROM aggregates"
-                ).fetchone()[0]
-                plans: int = self._conn.execute(
-                    "SELECT COUNT(*) FROM plans"
-                ).fetchone()[0]
-            except sqlite3.DatabaseError as error:
-                if not self._is_corruption(error):
-                    raise
-                self._recover_locked(error)
-                answers = aggregates = plans = 0
+            answers, aggregates, plans = self._read_locked(
+                self._run_locked,
+                (0, 0, 0),
+                "SELECT (SELECT COUNT(*) FROM answers),"
+                " (SELECT COUNT(*) FROM aggregates),"
+                " (SELECT COUNT(*) FROM plans)",
+            )
         return {
             "persistent_answers": answers,
             "persistent_aggregates": aggregates,

@@ -211,10 +211,10 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         #: contention (see :meth:`_cache_put_guarded`): each one cost
         #: warmth (the answer was served uncached), never the request.
         self.cache_write_failures = 0
-        #: name -> persistent cache version last observed by this
-        #: instance — the cross-process invalidation fence (see
-        #: :meth:`_fence_check`).
-        self._observed_versions: dict[str, int] = {}
+        #: name -> (cache file generation, persistent version) last
+        #: observed by this instance — the cross-process invalidation
+        #: fence (see :meth:`_fence_check`).
+        self._observed_versions: dict[str, tuple[int, int]] = {}
 
     # -- internals ----------------------------------------------------------
 
@@ -405,58 +405,75 @@ class DataspaceService:  # impreciselint: guarded-by=_mu
         ``apply``, and invalidate ``name``.  Reading the version first
         makes a closed cache refuse before ``apply`` writes anything."""
         with self._name_lock(name):
-            before = self.cache.version(name) if self.cache is not None else 0
+            before = self._version_key(name)
             for read in reads:
                 self._fence_check(read)
             result = apply()
             self._invalidate(name, before)
             return result
 
-    def _invalidate(self, name: str, before: int) -> None:
+    def _invalidate(
+        self, name: str, before: Optional[tuple[int, int]]
+    ) -> None:
         """Drop ``name``'s engine and persistent rows and bump its
-        version; ``before`` is the version read before the mutation."""
+        version; ``before`` is the version key read before the mutation."""
         with self._mu:
             self._engines.pop(name, None)
         if self.cache is None:
             return
         self.cache.invalidate_document(name)
-        after = self.cache.version(name)
+        after = self._version_key(name)
         with self._mu:
-            if after == before + 1:
+            if before is not None and after == (before[0], before[1] + 1):
                 # Only our own bump: the in-memory state (we just wrote
                 # it) is current, so record the version and keep the
                 # materialization warm.
                 self._observed_versions[name] = after
             else:
-                # A sibling process interleaved a mutation — forget what
-                # we observed so the next read refreshes.
+                # A sibling process interleaved a mutation, or the cache
+                # moved to a new file — forget what we observed so the
+                # next read refreshes.
                 self._observed_versions.pop(name, None)
+
+    def _version_key(self, name: str) -> Optional[tuple[int, int]]:
+        """``name``'s persistent version keyed by the cache's file
+        generation (:attr:`AnswerCacheStore.recoveries`): a rebuilt file
+        restarts every version at 0, so a version alone cannot tell a
+        fresh file from an unmutated name.  ``None`` without a cache, or
+        when the generation moved during the read."""
+        cache = self.cache
+        if cache is None:
+            return None
+        generation = cache.recoveries
+        version = cache.version(name)
+        return (generation, version) if cache.recoveries == generation else None
 
     def _fence_check(self, name: str) -> None:
         """The cross-process invalidation fence (serving-discipline
-        point 3): compare the persistent per-name version against the
-        one this instance last observed and, on movement, drop every
+        point 3): compare the persistent per-name version key against
+        the one this instance last observed and, on movement, drop every
         piece of in-memory state derived from the old content — the
         shared engine and the store's materialization + content digest
         — so a mutation committed by a sibling process is re-read from
         disk instead of served from a stale materialization.
 
-        Version 0 with nothing observed means the name was never
-        invalidated anywhere, so whatever we hold came straight from
-        disk and is current.  A request racing the sibling's mutation
-        itself may still price the pre-mutation content — that answer
-        is keyed by the *old* content digest and stamped with a stale
-        version, so it is never served to anyone reading the new state.
+        Version 0 of generation 0 with nothing observed means the name
+        was never invalidated in any file this instance used, so
+        whatever we hold came straight from disk and is current.  A
+        request racing the sibling's mutation itself may still price the
+        pre-mutation content — that answer is keyed by the *old* content
+        digest and stamped with a stale version, so it is never served
+        to anyone reading the new state.
         """
         if self.cache is None:
             return
-        current = self.cache.version(name)
+        current = self._version_key(name)
         with self._mu:
-            known = self._observed_versions.get(name)
-            if known == current or (known is None and current == 0):
+            known = self._observed_versions.pop(name, None)
+            if current is not None:
                 self._observed_versions[name] = current
-                return
-            self._observed_versions[name] = current
+                if known == current or (known is None and current == (0, 0)):
+                    return
             self._engines.pop(name, None)
         self.store.refresh(name)
 

@@ -15,12 +15,11 @@ DataspaceService` serves many threads over one store):
   parsed documents stay in memory; evicting a document also releases its
   :class:`~repro.pxml.events_cache.EventProbabilityCache` (the registry
   holds documents weakly, so the cache dies with the last reference);
-* **content digests and versions** — :meth:`digest` is the document's
-  content hash (the persistent-cache key half, see
+* **content digests** — :meth:`digest` is the document's content hash
+  (the persistent-cache key half, see
   :func:`repro.dbms.cache_store.document_digest`), computed from the
   file bytes when the document is not materialized so a warm process
-  never has to parse just to key a cache lookup; :meth:`version` counts
-  in-process ``put``/``delete`` mutations.
+  never has to parse just to key a cache lookup.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
         self.max_cached = max_cached
         self._cache: "OrderedDict[str, StoredDocument]" = OrderedDict()
         self._digests: dict[str, str] = {}
-        self._versions: dict[str, int] = {}
         self._mu = threading.RLock()  # metadata maps only — never held on I/O
         self._shards = [threading.RLock() for _ in range(_SHARD_COUNT)]
 
@@ -171,7 +169,6 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
                     # In-memory: digest() computes lazily on first use —
                     # don't serialize a document nobody may ever key on.
                     self._digests.pop(name, None)
-                self._versions[name] = self._versions.get(name, 0) + 1
             self._remember(name, document)
 
     def get(self, name: str) -> StoredDocument:
@@ -238,12 +235,6 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
                 self._digests[name] = digest
             return digest
 
-    def version(self, name: str) -> int:
-        """In-process mutation counter: bumped by every
-        :meth:`put`/:meth:`delete` of ``name`` (0 for never-mutated)."""
-        with self._mu:
-            return self._versions.get(name, 0)
-
     def refresh(self, name: str) -> None:
         """Forget ``name``'s in-memory state (materialized document and
         memoized content digest) so the next read re-reads the file.
@@ -253,8 +244,7 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
         a sibling process sharing the directory rewrites a document, the
         bytes on disk are new but this process still holds the old
         materialization and digest.  Unknown names are a no-op — there
-        is nothing stale to forget.  The in-process mutation counter is
-        *not* bumped: the content did not change through this store.
+        is nothing stale to forget.
         """
         _check_name(name)
         with self._name_lock(name):
@@ -333,8 +323,6 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
                 found = True
             if not found:
                 raise MissingDocumentError(f"no document named {name!r}")
-            with self._mu:
-                self._versions[name] = self._versions.get(name, 0) + 1
 
     def cached_count(self) -> int:
         """Number of currently materialized documents (diagnostics)."""

@@ -467,8 +467,10 @@ class ProbQueryEngine:
 
     #: Cap on the number of distinct (value, event) realisations tracked
     #: per node; beyond this the query is asking for a cross product of
-    #: value variants that has no compact answer.
-    MAX_VALUE_ALTERNATIVES = 256
+    #: value variants that has no compact answer.  A node never has more
+    #: distinct values than its document has worlds, so a document of at
+    #: most this many worlds is always answered.
+    MAX_VALUE_ALTERNATIVES = 1024
 
     def _value_alternatives(self, context: PContext) -> list[tuple[str, Event]]:
         """The possible string values of a node, each with the event under

@@ -423,6 +423,33 @@ class TestBusyHandling:
         assert [(i.value, i.probability) for i in got] == [("v", Fraction(1, 2))]
         store.close()
 
+    def test_wal_switch_under_held_write_lock_raises_typed_error(
+        self, tmp_path
+    ):
+        """Opening a file still in rollback-journal mode while a sibling
+        holds its write lock: the WAL switch runs under the same bounded
+        busy budget as a write and surfaces CacheBusyError, never the
+        raw ``database is locked``."""
+        import sqlite3
+
+        from repro.errors import CacheBusyError
+
+        path = tmp_path / "cache.sqlite"
+        sibling = sqlite3.connect(str(path))
+        sibling.execute("CREATE TABLE held (x)")
+        sibling.commit()
+        sibling.execute("BEGIN IMMEDIATE")  # hold the write lock
+        try:
+            with pytest.raises(CacheBusyError) as excinfo:
+                AnswerCacheStore(path, busy_timeout_ms=50, write_retries=3)
+            assert "locked" in str(excinfo.value.__cause__).lower()
+        finally:
+            sibling.rollback()
+            sibling.close()
+        store = AnswerCacheStore(path, busy_timeout_ms=50, write_retries=3)
+        assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        store.close()
+
     def test_retry_succeeds_once_lock_clears(self, tmp_path):
         """A transient hold shorter than the retry budget is absorbed
         silently: the put lands, no exception, retries counted."""
@@ -516,3 +543,34 @@ class TestClosedStore:
         with pytest.raises(StoreError, match="closed"):
             store.version("doc")
         assert store.recoveries == 0
+
+
+class TestCorruptFile:
+    """A cache file corrupted under a live store costs warmth only: every
+    operation — reads and writes alike — quarantines it to exactly one
+    ``*.corrupt-1``, counts one recovery, and runs on the rebuilt file."""
+
+    #: How each write proves it landed in the rebuilt file.
+    LANDED = {
+        "remember_plan": lambda c: c.plan_digest("//x") == PLAN,
+        "put": lambda c: c.get("doc", DOC, PLAN, record=False) is not None,
+        "put_aggregate": lambda c: c.get_aggregate(
+            "doc", DOC, AGG, record=False
+        ) == {1: Fraction(1)},
+        "invalidate_document": lambda c: c.version("doc") == 1,
+    }
+
+    @pytest.mark.parametrize("operation", sorted(TestClosedStore.OPERATIONS))
+    def test_every_operation_recovers(self, cache, operation):
+        from repro.testing.faults import corrupt_sqlite_file
+
+        cache.put("doc", DOC, PLAN, answer(("x", Fraction(1, 2), 1)))
+        corrupt_sqlite_file(cache.path)
+        TestClosedStore.OPERATIONS[operation](cache)
+        assert len(list(cache.path.parent.glob("*.corrupt-1"))) == 1
+        assert not list(cache.path.parent.glob("*.corrupt-2"))
+        assert cache.recoveries == 1
+        landed = self.LANDED.get(operation)
+        assert landed is None or landed(cache)
+        assert cache.recoveries == 1
+        cache.close()

@@ -214,6 +214,89 @@ class TestCacheCorruption:
             service.close()
 
 
+    def test_fence_survives_a_quarantine(self, tmp_path):
+        """A rebuilt cache file restarts every version at 0, so a sibling
+        that last saw version 0 must still notice the mutation made
+        before the rebuild: the fence keys versions by file generation."""
+        store, cache = tmp_path / "store", tmp_path / "cache"
+        store.mkdir()
+        (store / "x.xml").write_text("<r><v>old</v></r>", encoding="utf-8")
+        writer = DataspaceService(directory=store, cache_dir=cache)
+        reader = DataspaceService(directory=store, cache_dir=cache)
+        try:
+            assert reader.query("x", "//v").values() == ["old"]
+            writer.load("x", "<r><v>new</v></r>")
+            corrupt_sqlite_file(writer.cache.path)
+            assert writer.query("x", "//v").values() == ["new"]
+            assert writer.cache.version("x") == 0  # the rebuilt file
+            assert reader.query("x", "//v").values() == ["new"]
+        finally:
+            writer.close()
+            reader.close()
+
+    def test_corruption_while_a_miss_is_priced_still_answers(self, tmp_path):
+        """The answer is already computed when its cache write finds the
+        file corrupt: the write quarantines and lands in the rebuilt
+        file, and the query returns the exact answer."""
+        expected = serial_replay(tmp_path)
+        service = build_service(tmp_path, "mid-miss")
+        original = service._engine
+
+        def corrupting(name, digest):
+            corrupt_sqlite_file(service.cache.path)
+            return original(name, digest)
+
+        try:
+            service._engine = corrupting
+            assert snapshot(service.query("doc0", "//x")) == expected[
+                ("doc0", "//x")
+            ]
+            del service._engine
+            stats = service.cache_stats()
+            assert stats["persistent_recoveries"] == 1
+            assert stats["persistent_stored"] == 1
+            assert stats["cache_write_failures"] == 0
+            for (name, query), exact in expected.items():
+                assert snapshot(service.query(name, query)) == exact
+        finally:
+            service.close()
+
+    def test_corruption_during_integrate_keeps_report_and_fence(self, tmp_path):
+        """Corruption landing while ``integrate`` writes its output costs
+        warmth only: the report comes back, the version bump lands in the
+        rebuilt file, and a sibling sharing the store and the cache sees
+        the integrated document instead of the one it read before."""
+        store, cache = tmp_path / "store", tmp_path / "cache"
+        service = DataspaceService(directory=store, cache_dir=cache)
+        sibling = DataspaceService(directory=store, cache_dir=cache)
+        try:
+            book_a, book_b = addressbook_documents()
+            service.load_document("a", book_a)
+            service.load_document("b", book_b)
+            service.load("ab", "<addressbook/>")
+            assert sibling.query("ab", "//person/tel").values() == []
+            original = service._module.integrate
+
+            def corrupting(*args, **kwargs):
+                corrupt_sqlite_file(service.cache.path)
+                return original(*args, **kwargs)
+
+            service._module.integrate = corrupting
+            report = service.integrate(
+                "a", "b", "ab",
+                rules=[DeepEqualRule(), LeafValueRule()],
+                dtd=ADDRESSBOOK_DTD,
+            )
+            assert report.total_nodes > 0
+            assert service.cache.version("ab") == 1
+            merged = snapshot(service.query("ab", "//person/tel"))
+            assert merged
+            assert snapshot(sibling.query("ab", "//person/tel")) == merged
+        finally:
+            service.close()
+            sibling.close()
+
+
 class TestDeadlineChaos:
     def test_generous_deadline_is_invisible(self, tmp_path):
         service = build_service(tmp_path, "generous")

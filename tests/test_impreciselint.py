@@ -587,6 +587,78 @@ class TestContractDrift:
         assert [f.detail for f in findings] == ["public-docs:bare"]
 
 
+# -- cache-funnel -------------------------------------------------------------
+
+
+class TestCacheFunnel:
+    def test_connect_and_conn_outside_the_routines_are_flagged(self, tmp_path):
+        write_fixture(
+            tmp_path,
+            "repro/dbms/cache_store.py",
+            """\
+            import sqlite3
+
+            class Store:
+                def __init__(self):
+                    self._conn = None
+
+                def _connect_locked(self):
+                    self._conn = sqlite3.connect("x")
+
+                def _read_locked(self):
+                    return self._conn.execute("SELECT 1")
+
+                def reopen(self):
+                    self._conn = sqlite3.connect("x")
+
+                def put(self):
+                    def apply():
+                        self._conn.execute("DELETE FROM t")
+                    return apply
+            """,
+        )
+        findings, _ = lint(tmp_path, rules=["cache-funnel"])
+        assert sorted((f.qualname, f.detail) for f in findings) == [
+            ("Store.put.apply", "conn"),
+            ("Store.reopen", "conn"),
+            ("Store.reopen", "connect"),
+        ]
+
+    def test_out_of_scope_module_is_ignored(self, tmp_path):
+        write_fixture(
+            tmp_path,
+            "repro/dbms/store.py",
+            "class S:\n    def get(self):\n        return self._conn\n",
+        )
+        findings, _ = lint(tmp_path, rules=["cache-funnel"])
+        assert findings == []
+
+    def test_seeded_mutation_of_real_cache_store(self, tmp_path):
+        """A public method that runs a statement on the connection
+        directly skips the entry check and the corruption funnel."""
+        source = (SRC / "repro/dbms/cache_store.py").read_text(encoding="utf-8")
+        needle = "    def __enter__(self)"
+        assert source.count(needle) == 1
+        mutated = source.replace(
+            needle,
+            "    def peek(self) -> int:\n"
+            "        with self._lock:\n"
+            "            row = self._conn.execute(\n"
+            "                \"SELECT COUNT(*) FROM answers\"\n"
+            "            ).fetchone()\n"
+            "        return int(row[0])\n\n" + needle,
+        )
+        write_fixture(tmp_path, "repro/dbms/cache_store.py", mutated)
+        findings, _ = lint(tmp_path, rules=["cache-funnel"])
+        assert [(f.qualname, f.detail) for f in findings] == [
+            ("AnswerCacheStore.peek", "conn")
+        ]
+        # the real module keeps every statement behind the routines
+        write_fixture(tmp_path / "clean", "repro/dbms/cache_store.py", source)
+        findings, _ = lint(tmp_path / "clean", rules=["cache-funnel"])
+        assert findings == []
+
+
 # -- baseline and identities --------------------------------------------------
 
 

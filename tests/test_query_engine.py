@@ -15,6 +15,7 @@ from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.errors import QueryError
 from repro.pxml.build import certain_document, certain_prob, choice_prob
 from repro.pxml.model import PXDocument, PXElement, PXText
+from repro.pxml.serialize import parse_pxml
 from repro.pxml.worlds import world_count
 from repro.query.engine import ProbQueryEngine, query_enumeration
 from repro.xmlkit.parser import parse_document
@@ -179,5 +180,32 @@ class TestAgreementProperty:
     def test_event_engine_matches_enumeration(self, doc):
         if world_count(doc) > 400:
             return
+        for query in self.QUERIES:
+            assert_engines_agree(doc, query)
+
+    def test_document_with_many_valued_root_is_answered(self):
+        """336 worlds, and the root <a> has 274 distinct string values:
+        every query is answered exactly, not refused at the value cap."""
+        doc = parse_pxml(
+            '<p:prob><p:poss prob="1"><a><p:prob>'
+            '<p:poss prob="1/3">hello world</p:poss><p:poss prob="1/3"/>'
+            '<p:poss prob="1/3">alpha</p:poss></p:prob><p:prob>'
+            '<p:poss prob="1">alpha<a><p:prob><p:poss prob="1/2"/>'
+            '<p:poss prob="1/4"><a><p:prob><p:poss prob="1/2">alpha'
+            '</p:poss><p:poss prob="1/2">alphaalpha</p:poss></p:prob>'
+            '<p:prob><p:poss prob="3/8">alphaalpha</p:poss>'
+            '<p:poss prob="1/4">alpha  spaced  </p:poss>'
+            '<p:poss prob="3/8">&lt;&amp;&gt;"\'</p:poss></p:prob></a><a>'
+            '<p:prob><p:poss prob="1/3">alpha</p:poss>'
+            '<p:poss prob="1/3">beta</p:poss>'
+            '<p:poss prob="1/3">alpha&lt;&amp;&gt;"\'</p:poss></p:prob>'
+            '<p:prob><p:poss prob="1/3">alpha</p:poss>'
+            '<p:poss prob="1/3"/><p:poss prob="1/3">x1</p:poss></p:prob>'
+            '</a></p:poss><p:poss prob="1/4">alpha</p:poss></p:prob>'
+            '<p:prob><p:poss prob="1/2"/><p:poss prob="1/2">hello world'
+            '</p:poss></p:prob></a></p:poss></p:prob></a></p:poss>'
+            '</p:prob>'
+        )
+        assert world_count(doc) == 336
         for query in self.QUERIES:
             assert_engines_agree(doc, query)

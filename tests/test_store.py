@@ -177,15 +177,6 @@ class TestDigestsAndVersions:
         with pytest.raises(StoreError):
             DocumentStore().digest("nope")
 
-    def test_version_counts_mutations(self, plain_doc):
-        store = DocumentStore()
-        assert store.version("movies") == 0
-        store.put("movies", plain_doc)
-        store.put("movies", plain_doc.copy())
-        assert store.version("movies") == 2
-        store.delete("movies")
-        assert store.version("movies") == 3
-
 
 class TestLRU:
     def test_bound_enforced(self, tmp_path, plain_doc):
@@ -270,13 +261,6 @@ class TestRefresh:
         # The re-read digest now matches the rewritten disk content.
         assert reader.digest("doc") == writer.digest("doc")
         assert reader.digest("doc") != stale_digest
-
-    def test_refresh_does_not_bump_version(self, tmp_path, plain_doc):
-        store = DocumentStore(tmp_path)
-        store.put("doc", plain_doc)
-        before = store.version("doc")
-        store.refresh("doc")
-        assert store.version("doc") == before
 
     def test_refresh_unknown_name_is_noop(self, tmp_path):
         DocumentStore(tmp_path).refresh("never-stored")

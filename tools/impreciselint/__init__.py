@@ -26,6 +26,10 @@ from the AST, with no third-party dependencies.  Rule families (see
     Codec field changes without a schema/wire version acknowledgement,
     and public ``repro.*`` functions missing docstrings or return
     annotations.
+``cache-funnel``
+    In the answer cache, ``sqlite3.connect`` outside its one connect
+    routine, or ``self._conn`` outside the ``*_locked`` fault-rule
+    routines (and ``__init__``/``close``).
 
 Findings can be silenced three ways, in increasing scope:
 

@@ -1,4 +1,4 @@
-"""The five impreciselint rule families.
+"""The six impreciselint rule families.
 
 Each checker is a function ``(SourceModule) -> list[Finding]``; the
 registry at the bottom (:data:`CHECKERS`) is what the runner iterates.
@@ -28,11 +28,13 @@ __all__ = [
     "NO_RECURSION_SCOPE",
     "NO_SWALLOW_SCOPE",
     "CONTRACT_CODEC_SCOPE",
+    "CACHE_FUNNEL_SCOPE",
     "check_float_taint",
     "check_lock_discipline",
     "check_no_recursion",
     "check_no_swallow",
     "check_contract_drift",
+    "check_cache_funnel",
     "codec_surface_digest",
 ]
 
@@ -774,10 +776,72 @@ def check_contract_drift(module: SourceModule) -> list:
     return _check_codec_surface(module) + _check_public_docs(module)
 
 
+# -- cache-funnel -------------------------------------------------------------
+
+#: The answer cache states each fault rule once — one connect routine,
+#: one entry check, one lookup funnel, one retry loop; copies per public
+#: method are how its fault handling drifted before.
+CACHE_FUNNEL_SCOPE = ("repro/dbms/cache_store.py",)
+
+#: Methods besides the ``*_locked`` ones that may use the connection.
+_CONN_OWNERS = frozenset({"__init__", "close"})
+
+
+def check_cache_funnel(module: SourceModule) -> list:
+    if not module.matches(CACHE_FUNNEL_SCOPE):
+        return []
+    findings: list = []
+    for node, qualname in _scoped_nodes(module.tree):
+        # ``Class.method`` or ``Class.method.closure``: closures count as
+        # their enclosing method.
+        parts = qualname.split(".")
+        method = parts[1] if len(parts) > 1 else ""
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "connect"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "sqlite3"
+            and method != "_connect_locked"
+        ):
+            detail = "connect"
+            message = (
+                "sqlite3.connect(...) outside _connect_locked, the one"
+                " connect routine"
+            )
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_conn"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and not (method.endswith("_locked") or method in _CONN_OWNERS)
+        ):
+            detail = "conn"
+            message = (
+                f"self._conn used in {qualname}: public operations reach"
+                " the file only through the entry check, the lookup"
+                " funnel or the write transaction (*_locked methods)"
+            )
+        else:
+            continue
+        findings.append(
+            Finding(
+                rule="cache-funnel",
+                path=module.rel,
+                line=node.lineno,
+                qualname=qualname,
+                detail=detail,
+                message=message,
+            )
+        )
+    return findings
+
+
 CHECKERS = {
     "float-taint": check_float_taint,
     "lock-discipline": check_lock_discipline,
     "no-recursion": check_no_recursion,
     "no-swallow": check_no_swallow,
     "contract-drift": check_contract_drift,
+    "cache-funnel": check_cache_funnel,
 }
