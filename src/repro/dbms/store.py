@@ -15,6 +15,10 @@ DataspaceService` serves many threads over one store):
   parsed documents stay in memory; evicting a document also releases its
   :class:`~repro.pxml.events_cache.EventProbabilityCache` (the registry
   holds documents weakly, so the cache dies with the last reference);
+* **atomic writes** — :meth:`put` encodes the whole text first, then
+  replaces the file in one ``os.replace``: a write that fails (text UTF-8
+  cannot encode is a :class:`StoreError`) leaves the old document as it
+  was, on disk and in memory;
 * **content digests** — :meth:`digest` is the document's content hash
   (the persistent-cache key half, see
   :func:`repro.dbms.cache_store.document_digest`), computed from the
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+import os
 import re
 import threading
 import zlib
@@ -56,6 +61,19 @@ def _check_name(name: str) -> str:
             " (letters, digits, '_', '.', '-'; max 128 chars)"
         )
     return name
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` over ``path`` atomically: readers see the old bytes
+    or the new ones, never a truncated file.  The sibling temp file's name
+    does not end in ``.xml``/``.pxml``, so :meth:`DocumentStore.list`
+    never shows it; the process id keeps concurrent writers apart."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 class DocumentStore:  # impreciselint: guarded-by=_mu
@@ -149,18 +167,26 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
                     text = pxml_to_text(document)
                 else:
                     text = serialize(document)
-                # Remove a stale file of the other kind before writing.
+                try:
+                    data = text.encode("utf-8")
+                except UnicodeEncodeError as error:
+                    raise StoreError(
+                        f"cannot store {name!r}: its text is not UTF-8"
+                        f" encodable ({error.reason} at offset {error.start})"
+                    ) from None
+                path = self._path(name, kind)
+                assert path is not None
+                _replace_file(path, data)
+                # Drop a stale file of the other kind only once the new
+                # one is in place.
                 other = self._path(name, "xml" if kind == "pxml" else "pxml")
                 if other is not None and other.exists():
                     other.unlink()
-                path = self._path(name, kind)
-                assert path is not None
-                path.write_text(text, encoding="utf-8")
                 # Hash the serialization already in hand — identical to
                 # document_digest(document) and to hashing the file bytes
                 # just written, without a second serialization pass.
                 digest = hashlib.sha256(
-                    (kind + "\x00" + text).encode("utf-8")
+                    kind.encode("utf-8") + b"\x00" + data
                 ).hexdigest()
             with self._mu:
                 if digest is not None:

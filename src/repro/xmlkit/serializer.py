@@ -4,9 +4,13 @@ Two renderers: :func:`serialize` (compact, canonical, round-trip safe with
 the parser) and :func:`serialize_pretty` (indented, for humans; inserts
 whitespace only around element-only content so it stays semantically
 round-trip safe under the library's whitespace-insensitive deep equality).
+Both walk the tree with an explicit stack, so depth is bounded by memory,
+not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .nodes import XDocument, XElement, XText, XChild
 
@@ -28,24 +32,14 @@ def escape_attribute(value: str) -> str:
     )
 
 
-def _start_tag(element: XElement) -> str:
-    parts = [element.tag]
-    for name in sorted(element.attributes):
-        parts.append(f'{name}="{escape_attribute(element.attributes[name])}"')
-    return "<" + " ".join(parts) + ">"
-
-
-def _serialize_node(node: XChild, out: list[str]) -> None:
-    if isinstance(node, XText):
-        out.append(escape_text(node.value))
-        return
-    if not node.children:
-        out.append(_start_tag(node)[:-1] + "/>")
-        return
-    out.append(_start_tag(node))
-    for child in node.children:
-        _serialize_node(child, out)
-    out.append(f"</{node.tag}>")
+def open_tag(tag: str, attributes: Optional[dict[str, str]]) -> str:
+    """A start tag without its closing ``>`` or ``/>``, attributes sorted."""
+    if not attributes:
+        return "<" + tag
+    parts = [tag]
+    for name in sorted(attributes):
+        parts.append(f'{name}="{escape_attribute(attributes[name])}"')
+    return "<" + " ".join(parts)
 
 
 def serialize(node: XChild | XDocument) -> str:
@@ -54,51 +48,47 @@ def serialize(node: XChild | XDocument) -> str:
     if isinstance(node, XDocument):
         node = node.root
     out: list[str] = []
-    _serialize_node(node, out)
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif isinstance(item, XText):
+            out.append(escape_text(item.value))
+        elif item.children:
+            out.append(open_tag(item.tag, item.attributes) + ">")
+            stack.append(f"</{item.tag}>")
+            stack.extend(reversed(item.children))
+        else:
+            out.append(open_tag(item.tag, item.attributes) + "/>")
     return "".join(out)
-
-
-def _has_element_children(element: XElement) -> bool:
-    return any(isinstance(child, XElement) for child in element.children)
-
-
-def _pretty_node(node: XChild, out: list[str], depth: int, indent: str) -> None:
-    pad = indent * depth
-    if isinstance(node, XText):
-        if node.value.strip():
-            out.append(pad + escape_text(node.value))
-        return
-    if not node.children:
-        out.append(pad + _start_tag(node)[:-1] + "/>")
-        return
-    if not _has_element_children(node):
-        # Text-only content stays inline: <title>Jaws</title>
-        text = "".join(
-            escape_text(child.value)
-            for child in node.children
-            if isinstance(child, XText)
-        )
-        out.append(pad + _start_tag(node) + text + f"</{node.tag}>")
-        return
-    if any(
-        isinstance(child, XText) and child.value.strip() for child in node.children
-    ):
-        # Mixed content: indentation would alter the text values, so this
-        # subtree is rendered compactly instead.
-        compact: list[str] = []
-        _serialize_node(node, compact)
-        out.append(pad + "".join(compact))
-        return
-    out.append(pad + _start_tag(node))
-    for child in node.children:
-        _pretty_node(child, out, depth + 1, indent)
-    out.append(pad + f"</{node.tag}>")
 
 
 def serialize_pretty(node: XChild | XDocument, *, indent: str = "  ") -> str:
     """Human-readable indented serialization."""
     if isinstance(node, XDocument):
         node = node.root
-    out: list[str] = []
-    _pretty_node(node, out, 0, indent)
-    return "\n".join(out)
+    lines: list[str] = []
+    stack: list = [(node, 0)]
+    while stack:
+        item, depth = stack.pop()
+        pad = indent * depth
+        if type(item) is str:
+            lines.append(pad + item)
+        elif isinstance(item, XText):
+            if item.value.strip():
+                lines.append(pad + escape_text(item.value))
+        elif not item.children:
+            lines.append(pad + open_tag(item.tag, item.attributes) + "/>")
+        elif not any(isinstance(child, XElement) for child in item.children) or any(
+            isinstance(child, XText) and child.value.strip()
+            for child in item.children
+        ):
+            # Text-only content stays inline (<title>Jaws</title>), and so
+            # does mixed content: indentation would alter its text values.
+            lines.append(pad + serialize(item))
+        else:
+            lines.append(pad + open_tag(item.tag, item.attributes) + ">")
+            stack.append((f"</{item.tag}>", depth))
+            stack.extend((child, depth + 1) for child in reversed(item.children))
+    return "\n".join(lines)

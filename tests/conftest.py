@@ -133,6 +133,24 @@ def source_pairs(draw):
     return draw(record_documents()), draw(record_documents())
 
 
+# -- deep documents -------------------------------------------------------------
+
+def nested_xml(depth: int) -> str:
+    """Compact XML text of ``depth`` nested ``<a>`` elements."""
+    return "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)
+
+
+def nested_pxml(depth: int) -> str:
+    """Compact PXML text of ``depth`` nested certain ``<a>`` elements."""
+    certain = '<p:prob><p:poss prob="1">'
+    return (
+        (certain + "<a>") * (depth - 1)
+        + certain
+        + "<a/></p:poss></p:prob>"
+        + "</a></p:poss></p:prob>" * (depth - 1)
+    )
+
+
 # -- fixtures ---------------------------------------------------------------------
 
 @pytest.fixture

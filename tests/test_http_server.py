@@ -39,6 +39,8 @@ from repro.server.client import DataspaceClient, ServerError
 from repro.server.http import BackgroundServer
 from repro.xmlkit.serializer import serialize
 
+from .conftest import nested_pxml, nested_xml
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Soak matrix — CI reduces it, a deep local run can crank it up.
@@ -156,6 +158,15 @@ class TestEndpoints:
         assert shape(client.query("ab2", "//person/tel")) == shape(
             client.query("ab", "//person/tel")
         )
+
+    def test_deep_documents_are_stored_and_answer(self, live):
+        client, _, _ = live
+        stored = client.load("deep", nested_pxml(400), kind="pxml")
+        assert stored == {"stored": "deep", "kind": "pxml"}
+        assert client.query("deep", "//a").values() == []
+        assert client.aggregate("deep", "count", "a") == {400: Fraction(1)}
+        stored = client.load("tall", nested_xml(1200))
+        assert stored == {"stored": "tall", "kind": "xml"}
 
     def test_persistent_hits_over_http(self, live):
         client, _, _ = live
@@ -376,6 +387,26 @@ class TestErrors:
             client._request("POST", "/query", {"document": "ab"})
         assert excinfo.value.status == 400
         assert "xpath" in str(excinfo.value)
+
+    def test_mislayered_pxml_is_400(self, live):
+        client, _, _ = live
+        text = '<p:prob><p:poss prob="1"><a><b/></a></p:poss></p:prob>'
+        with pytest.raises(ServerError) as excinfo:
+            client.load("x", text, kind="pxml")
+        assert excinfo.value.status == 400
+        assert "children of <a> must be <p:prob>, got <b>" in str(excinfo.value)
+        assert client.documents() == []
+
+    @pytest.mark.parametrize(
+        "reference", ["&#99999999999999999999;", "&#xD800;", "&# 65;", "&#1_000;"]
+    )
+    def test_bad_character_reference_is_400(self, live, reference):
+        client, _, _ = live
+        with pytest.raises(ServerError) as excinfo:
+            client.load("x", f"<a>{reference}</a>")
+        assert excinfo.value.status == 400
+        assert f"invalid character reference {reference}" in str(excinfo.value)
+        assert client.documents() == []
 
     def test_invalid_document_name_is_400(self, live):
         client, _, _ = live

@@ -18,6 +18,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:  # ``tools`` lives at the repo root
     sys.path.insert(0, str(REPO_ROOT))
@@ -301,7 +303,7 @@ class TestNoRecursion:
     def test_out_of_scope_recursion_allowed(self, tmp_path):
         write_fixture(
             tmp_path,
-            "repro/xmlkit/parser.py",  # recursion is fine outside the scope
+            "repro/xmlkit/dtd.py",  # recursion is fine outside the scope
             "def walk(n):\n    return walk(n)\n",
         )
         findings, _ = lint(tmp_path, rules=["no-recursion"])
@@ -315,6 +317,25 @@ class TestNoRecursion:
         assert [f.qualname for f in findings] == ["_resurrect"]
         # the real module itself is recursion-free
         write_fixture(tmp_path / "clean", "repro/pxml/events.py", source)
+        findings, _ = lint(tmp_path / "clean", rules=["no-recursion"])
+        assert findings == []
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro/xmlkit/parser.py", "repro/xmlkit/serializer.py",
+         "repro/pxml/serialize.py"],
+    )
+    def test_seeded_mutation_of_real_codec_module(self, tmp_path, module):
+        source = (SRC / module).read_text(encoding="utf-8")
+        mutated = source + (
+            "\n\ndef _descend(text, pos):\n"
+            "    return _descend(text, pos + 1) if pos < len(text) else pos\n"
+        )
+        write_fixture(tmp_path, module, mutated)
+        findings, _ = lint(tmp_path, rules=["no-recursion"])
+        assert [f.qualname for f in findings] == ["_descend"]
+        # the real module itself is recursion-free
+        write_fixture(tmp_path / "clean", module, source)
         findings, _ = lint(tmp_path / "clean", rules=["no-recursion"])
         assert findings == []
 

@@ -6,7 +6,7 @@ from repro.dbms.store import DocumentStore
 from repro.errors import StoreError
 from repro.pxml.build import certain_document
 from repro.pxml.model import PXDocument, px_deep_equal
-from repro.xmlkit.nodes import XDocument, deep_equal, element
+from repro.xmlkit.nodes import XDocument, XText, deep_equal, element
 from repro.xmlkit.parser import parse_document
 
 
@@ -145,6 +145,27 @@ class TestPersistence:
         store.put("movies", plain_doc)
         store.delete("movies")
         assert not (tmp_path / "movies.xml").exists()
+
+    def test_failed_overwrite_keeps_the_stored_document(self, tmp_path):
+        store = DocumentStore(tmp_path)
+        store.put("good", parse_document("<a>fine</a>"))
+        before = (tmp_path / "good.xml").read_bytes()
+        unencodable = XDocument(element("a", XText("\ud800")))
+        with pytest.raises(StoreError, match="not UTF-8 encodable"):
+            store.put("good", unencodable)
+        assert (tmp_path / "good.xml").read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == ["good.xml"]
+        assert store.get("good").root.text() == "fine"
+        assert DocumentStore(tmp_path).get("good").root.text() == "fine"
+
+    def test_failed_overwrite_keeps_the_other_kind(self, tmp_path, plain_doc):
+        store = DocumentStore(tmp_path)
+        store.put("doc", plain_doc)
+        unencodable = certain_document(XDocument(element("a", XText("\udfff"))))
+        with pytest.raises(StoreError):
+            store.put("doc", unencodable)
+        assert [path.name for path in tmp_path.iterdir()] == ["doc.xml"]
+        assert DocumentStore(tmp_path).kind("doc") == "xml"
 
 
 class TestDigestsAndVersions:

@@ -6,8 +6,8 @@ from hypothesis import given
 from repro.errors import XMLParseError
 from repro.xmlkit.nodes import XText, deep_equal
 from repro.xmlkit.parser import parse_document, parse_element
-from repro.xmlkit.serializer import serialize
-from .conftest import xml_documents
+from repro.xmlkit.serializer import serialize, serialize_pretty
+from .conftest import nested_xml, xml_documents
 
 
 class TestBasicParsing:
@@ -131,3 +131,20 @@ class TestRoundTrip:
     def test_double_serialize_stable(self, doc):
         once = serialize(doc)
         assert serialize(parse_document(once)) == once
+
+
+class TestDepth:
+    def test_deep_document_round_trips(self):
+        text = nested_xml(5000)
+        doc = parse_document(text)
+        depth, node = 1, doc.root
+        while node.children:
+            depth, node = depth + 1, node.children[0]
+        assert depth == 5000
+        assert serialize(doc) == text
+        # No indent: a padded rendering grows with the square of the depth.
+        lines = ["<a>"] * 4999 + ["<a/>"] + ["</a>"] * 4999
+        assert serialize_pretty(doc, indent="") == "\n".join(lines)
+        assert serialize(parse_document(serialize_pretty(doc, indent=""))) == (
+            text.replace("><", ">\n<")
+        )

@@ -10,6 +10,7 @@ from repro.xmlkit.serializer import (
     serialize,
     serialize_pretty,
 )
+from . import xml_reference as reference
 from .conftest import xml_documents
 
 
@@ -53,3 +54,11 @@ class TestSerializePretty:
     def test_pretty_roundtrip_semantically_equal(self, doc):
         reparsed = parse_document(serialize_pretty(doc))
         assert deep_equal(reparsed.root, doc.root)
+
+    @given(xml_documents())
+    def test_writers_match_the_reference(self, doc):
+        assert serialize(doc) == reference.serialize(doc)
+        assert serialize_pretty(doc) == reference.serialize_pretty(doc)
+        assert serialize_pretty(doc, indent="\t") == reference.serialize_pretty(
+            doc, indent="\t"
+        )

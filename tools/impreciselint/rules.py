@@ -377,12 +377,16 @@ def _check_method(
 
 # -- no-recursion -------------------------------------------------------------
 
-#: The PR-4 worklist contract: these modules must stay recursion-free so
-#: deep documents cannot blow the interpreter stack.
+#: The worklist contract: these modules must stay recursion-free so deep
+#: documents cannot blow the interpreter stack — the pricing kernels and
+#: the document codec (XML parser and writers, PXML wire format).
 NO_RECURSION_SCOPE = (
     "repro/pxml/events.py",
     "repro/pxml/events_compile.py",
     "repro/query/aggregates.py",
+    "repro/xmlkit/parser.py",
+    "repro/xmlkit/serializer.py",
+    "repro/pxml/serialize.py",
 )
 
 
