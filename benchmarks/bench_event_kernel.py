@@ -14,6 +14,11 @@ corpus-wide fan-out: the same plan shape priced across many documents
 with one shared :class:`LiteralProbabilityTable`, so literal and
 small-conjunction rows warmed by the first pass answer the rest.
 
+Since the tree pass (``repro.query.treepass``) the bench also races it
+against the walk + kernel (``use_cache=False``) on ``//person/tel`` over
+the merged 4x4 address book, the integrated document whose answer events
+are single entangled components.
+
 Acceptance (asserted, after the JSON record is written so a noisy
 runner never loses the trajectory point):
 
@@ -22,6 +27,9 @@ runner never loses the trajectory point):
 * ≥ ``BENCH_COMPILED_WARM_FLOOR`` (default 2×) for warm compiled
   corpus-wide pricing vs per-document bottom-up pricing,
   Fraction-identical answers;
+* ≥ ``BENCH_TREE_PASS_FLOOR`` (default 5×) for the tree pass against
+  the walk + kernel on the merged 4x4 book, Fraction-identical answers
+  with identical occurrence counts;
 * a 2,600-deep / 5,200-literal chain prices through the worklist
   evaluator without ``RecursionError`` (the PR-3 kernel cannot price it
   at all — that side is reported, not raced).
@@ -31,6 +39,9 @@ import os
 import time
 from fractions import Fraction
 
+from repro.core.engine import integrate
+from repro.core.rules import DeepEqualRule, LeafValueRule
+from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.pxml.build import choice_prob
 from repro.pxml.events import all_of, any_of, event_probability, lit
 from repro.pxml.events_compile import (
@@ -38,8 +49,10 @@ from repro.pxml.events_compile import (
     compile_event,
     compiled_probability,
 )
+from repro.pxml.events_cache import EventProbabilityCache
 from repro.pxml.events_reference import expansion_probability
 from repro.pxml.model import PXText
+from repro.query.engine import QueryEngine
 
 from .conftest import format_table, write_bench_json, write_result
 
@@ -53,6 +66,14 @@ SPEEDUP_FLOOR = float(os.environ.get("BENCH_KERNEL_SPEEDUP_FLOOR", "5"))
 #: Locally the measured ratio is well above 2× (warm pricing is mostly
 #: table lookups); CI can lower it on noisy runners.
 COMPILED_WARM_FLOOR = float(os.environ.get("BENCH_COMPILED_WARM_FLOOR", "2"))
+
+#: Acceptance floor for the tree pass against the walk + kernel.  Locally
+#: the measured ratio is well above 10×; CI lowers it on noisy runners.
+TREE_PASS_FLOOR = float(os.environ.get("BENCH_TREE_PASS_FLOOR", "5"))
+
+#: The tree-pass workload: ``//person/tel`` over two books of this many
+#: persons each, every cross-book pair confusable.
+TREE_PASS_PERSONS = 4
 
 #: The compiled fan-out workload: this many same-shaped documents, each
 #: an OR of independent conjunctions over fresh choice variables.
@@ -250,6 +271,73 @@ def test_compiled_corpus_fanout_speedup():
     assert speedup >= COMPILED_WARM_FLOOR, (
         f"warm compiled fan-out speedup {speedup:.1f}× below the"
         f" {COMPILED_WARM_FLOOR}× acceptance floor"
+    )
+
+
+def test_tree_pass_speedup_on_merged_book():
+    """Acceptance: the tree pass prices ``//person/tel`` over the merged
+    4x4 address book ≥ ``BENCH_TREE_PASS_FLOOR``× faster than the walk
+    + kernel, with Fraction-identical answers and occurrence counts.
+
+    Each pass round runs on a fresh event cache, so it measures the pass,
+    not its memo; the walk + kernel side is ``use_cache=False``."""
+    persons = TREE_PASS_PERSONS
+    book_a, book_b = addressbook_documents(
+        [(f"p{i}", f"1{i}") for i in range(persons)],
+        [(f"p{i}", f"2{i}") for i in range(persons)],
+    )
+    document = integrate(
+        book_a, book_b,
+        rules=[DeepEqualRule(), LeafValueRule()],
+        dtd=ADDRESSBOOK_DTD,
+    ).document
+    query = "//person/tel"
+
+    def snapshot(answer):
+        return [(item.value, item.probability, item.occurrences) for item in answer]
+
+    def tree_pass():
+        return snapshot(
+            QueryEngine(document, cache=EventProbabilityCache()).query(query)
+        )
+
+    def walk_and_kernel():
+        return snapshot(QueryEngine(document, use_cache=False).query(query))
+
+    walk_time, walk_answer = _time_best_of(ROUNDS, walk_and_kernel)
+    pass_time, pass_answer = _time_best_of(ROUNDS, tree_pass)
+    speedup = walk_time / pass_time if pass_time else float("inf")
+
+    write_result(
+        "bench_tree_pass",
+        f"Tree pass — {query} over the merged {persons}x{persons} address"
+        f" book (best of {ROUNDS}, fresh cache per round)\n"
+        + format_table(
+            ["leg", "time", "speedup"],
+            [
+                ["walk + kernel", f"{walk_time * 1e3:8.2f} ms", "1.0×"],
+                ["tree pass", f"{pass_time * 1e3:8.2f} ms", f"{speedup:.1f}×"],
+            ],
+        ),
+    )
+    write_bench_json(
+        "tree_pass",
+        {
+            "workload": "merged_addressbook_person_tel",
+            "persons": persons,
+            "query": query,
+            "rounds": ROUNDS,
+            "walk_kernel_seconds": walk_time,
+            "tree_pass_seconds": pass_time,
+            "speedup": speedup,
+            "floor": TREE_PASS_FLOOR,
+            "values": len(pass_answer),
+        },
+    )
+    assert pass_answer == walk_answer, "tree pass disagrees with the walk + kernel"
+    assert speedup >= TREE_PASS_FLOOR, (
+        f"tree pass speedup {speedup:.1f}× below the"
+        f" {TREE_PASS_FLOOR}× acceptance floor"
     )
 
 

@@ -160,6 +160,26 @@ _AGGREGATE_ROW = (
 _REMEMBER_PLAN = "INSERT OR REPLACE INTO plans VALUES (?, ?)"
 
 
+def utf8_bytes(text: str, what: str) -> bytes:
+    """``text`` encoded as UTF-8.  Text UTF-8 cannot encode (a lone
+    surrogate) raises :class:`StoreError` naming the operation that
+    failed, ``what`` (e.g. ``"store 'a'"``)."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise StoreError(
+            f"cannot {what}: its text is not UTF-8"
+            f" encodable ({error.reason} at offset {error.start})"
+        ) from None
+
+
+def content_digest(kind: str, data: bytes) -> str:
+    """SHA-256 of a stored document's kind (``"xml"`` or ``"pxml"``) and
+    its serialized bytes — the hash :func:`document_digest` and
+    :class:`~repro.dbms.store.DocumentStore` key documents by."""
+    return hashlib.sha256(kind.encode("utf-8") + b"\x00" + data).hexdigest()
+
+
 def document_digest(document: Union[XDocument, PXDocument]) -> str:
     """Content hash of a stored document, stable across processes.
 
@@ -168,18 +188,19 @@ def document_digest(document: Union[XDocument, PXDocument]) -> str:
     prefix, so an XML and a PXML document can never collide.  This is
     byte-identical to what :class:`~repro.dbms.store.DocumentStore`
     writes to disk, so hashing the file and hashing the materialized
-    document agree.
+    document agree.  A document whose text UTF-8 cannot encode raises
+    :class:`StoreError`, as storing it in a directory does.
     """
     if isinstance(document, PXDocument):
-        text = "pxml\x00" + pxml_to_text(document)
+        kind, text = "pxml", pxml_to_text(document)
     elif isinstance(document, XDocument):
-        text = "xml\x00" + serialize(document)
+        kind, text = "xml", serialize(document)
     else:
         raise StoreError(
             f"cannot digest {type(document).__name__};"
             " expected XDocument or PXDocument"
         )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return content_digest(kind, utf8_bytes(text, f"digest the {kind} document"))
 
 
 def encode_fraction(value: Fraction) -> str:

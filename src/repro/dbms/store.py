@@ -29,7 +29,6 @@ DataspaceService` serves many threads over one store):
 from __future__ import annotations
 
 import fnmatch
-import hashlib
 import os
 import re
 import threading
@@ -44,7 +43,7 @@ from ..pxml.serialize import parse_pxml, pxml_to_text
 from ..xmlkit.nodes import XDocument
 from ..xmlkit.parser import parse_document
 from ..xmlkit.serializer import serialize
-from .cache_store import document_digest
+from .cache_store import content_digest, document_digest, utf8_bytes
 
 StoredDocument = Union[XDocument, PXDocument]
 
@@ -167,13 +166,7 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
                     text = pxml_to_text(document)
                 else:
                     text = serialize(document)
-                try:
-                    data = text.encode("utf-8")
-                except UnicodeEncodeError as error:
-                    raise StoreError(
-                        f"cannot store {name!r}: its text is not UTF-8"
-                        f" encodable ({error.reason} at offset {error.start})"
-                    ) from None
+                data = utf8_bytes(text, f"store {name!r}")
                 path = self._path(name, kind)
                 assert path is not None
                 _replace_file(path, data)
@@ -185,9 +178,7 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
                 # Hash the serialization already in hand — identical to
                 # document_digest(document) and to hashing the file bytes
                 # just written, without a second serialization pass.
-                digest = hashlib.sha256(
-                    kind.encode("utf-8") + b"\x00" + data
-                ).hexdigest()
+                digest = content_digest(kind, data)
             with self._mu:
                 if digest is not None:
                     self._digests[name] = digest
@@ -215,7 +206,9 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
             path = self._find_file(name)
             if path is None:
                 raise MissingDocumentError(f"no document named {name!r}")
-            text = path.read_text(encoding="utf-8")
+            # Decode the bytes as written: read_text's universal newlines
+            # would turn a stored "\r\n" into "\n".
+            text = path.read_bytes().decode("utf-8")
             document: StoredDocument
             if path.suffix == ".pxml":
                 document = parse_pxml(text)
@@ -251,8 +244,7 @@ class DocumentStore:  # impreciselint: guarded-by=_mu
             path = self._find_file(name)
             if path is not None:
                 kind = "pxml" if path.suffix == ".pxml" else "xml"
-                text = kind + "\x00" + path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                digest = content_digest(kind, path.read_bytes())
             elif cached is not None:
                 digest = document_digest(cached)
             else:

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .events import Event, FALSE_EVENT, TRUE_EVENT
 from .events_compile import (
@@ -88,6 +88,8 @@ from .model import PXDocument
 _Fingerprint = tuple[object, ...]
 #: value -> (answer event, occurrence count) — ``answer_events`` shape.
 _AnswerEvents = dict[str, tuple[Event, int]]
+#: value -> (exact probability, occurrence count) — a priced answer.
+_PricedAnswer = dict[str, tuple[Fraction, int]]
 #: outcome -> probability (aggregate distributions; outcomes are ints,
 #: Fractions or the ``None`` no-match value).
 _Distribution = dict[object, Fraction]
@@ -155,8 +157,11 @@ class EventProbabilityCache:
         #: canonical digest -> exact probability; shared with (and
         #: populated by) the kernel itself.
         self._memo: dict[bytes, Fraction] = {}
-        #: (root uid, plan fingerprint) -> answer-event map.
-        self._answers: dict[tuple[int, _Fingerprint], _AnswerEvents] = {}
+        #: (root uid, plan fingerprint) -> answer-event map, and
+        #: (root uid, ("priced", plan fingerprint)) -> priced answer.
+        self._answers: dict[
+            tuple[int, _Fingerprint], dict[str, tuple[Any, int]]
+        ] = {}
         #: auxiliary memo for aggregate distributions (see aggregates.py).
         self._aggregates: dict[tuple[int, _Fingerprint], _Distribution] = {}
         self.hits = 0
@@ -280,6 +285,27 @@ class EventProbabilityCache:
         events: dict[str, tuple[Event, int]],
     ) -> None:
         self._answers[(self._doc_key(document), fingerprint)] = events
+
+    @classmethod
+    def _priced_key(
+        cls, document: PXDocument, fingerprint: _Fingerprint
+    ) -> tuple[int, _Fingerprint]:
+        return (cls._doc_key(document), ("priced", fingerprint))
+
+    def priced_answer(
+        self, document: PXDocument, fingerprint: _Fingerprint
+    ) -> Optional[_PricedAnswer]:
+        """Cached priced answer of ``document`` for a compiled plan (the
+        tree pass's memo, :mod:`repro.query.treepass`)."""
+        return self._answers.get(self._priced_key(document, fingerprint))
+
+    def store_priced_answer(
+        self,
+        document: PXDocument,
+        fingerprint: _Fingerprint,
+        answer: _PricedAnswer,
+    ) -> None:
+        self._answers[self._priced_key(document, fingerprint)] = answer
 
     def aggregate(
         self, document: PXDocument, key: _Fingerprint

@@ -9,9 +9,10 @@ Two implementations with identical semantics (cross-checked by tests):
 
 * :func:`query_enumeration` — the definition, literally: evaluate the
   XPath in every world, merge answer values, sum world probabilities;
-* :class:`ProbQueryEngine` — compile the query over the probabilistic
-  tree into event expressions and compute exact probabilities without
-  enumerating worlds.
+* :class:`ProbQueryEngine` — compute exact probabilities without
+  enumerating worlds: in one bottom-up pass over the tree for anchored
+  plans (:mod:`repro.query.treepass`), otherwise by compiling the query
+  over the probabilistic tree into event expressions and pricing them.
 
 The hot path is amortized twice: queries compile once into reusable
 :class:`QueryPlan` objects (:func:`compile_plan`), and all probability

@@ -56,10 +56,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from ..deadline import checkpoint
 from ..errors import QueryError
 from ..probability import ONE, ZERO, format_percent
-from ..pxml.events import weighted_sum
 from ..pxml.events_cache import EventProbabilityCache, cache_for
 from ..pxml.model import PXDocument, PXElement, PXText, ProbNode
 from ..pxml.worlds import DEFAULT_WORLD_LIMIT, iter_worlds
@@ -75,6 +73,7 @@ from ..xmlkit.xpath.ast import (
     Path,
 )
 from .plan import QueryPlan, _encode_fingerprint, compile_plan
+from .treepass import convolve, fold_tree, mixture
 
 __all__ = [
     "AGGREGATE_KINDS",
@@ -295,74 +294,6 @@ def _canonical(distribution: AggregateDistribution) -> AggregateDistribution:
 
 # -- the bottom-up convolution -------------------------------------------------
 
-def _combine(
-    a: AggregateDistribution,
-    b: AggregateDistribution,
-    op: Callable[[AggregateKey, AggregateKey], AggregateKey],
-) -> AggregateDistribution:
-    # Point-mass factors are the overwhelmingly common case (certain
-    # subtrees contribute {k: 1}); mapping the other factor's keys skips
-    # the quadratic loop and the Fraction multiplications by one.  The
-    # mapped keys still accumulate — min/max are not injective, so two
-    # source keys can land on one result key.
-    if len(a) == 1:
-        (key_a, prob_a), = a.items()
-        if prob_a == ONE:
-            result: AggregateDistribution = {}
-            for key_b, prob_b in b.items():
-                key = op(key_a, key_b)
-                result[key] = result.get(key, ZERO) + prob_b
-            return result
-    if len(b) == 1:
-        (key_b, prob_b), = b.items()
-        if prob_b == ONE:
-            result = {}
-            for key_a, prob_a in a.items():
-                key = op(key_a, key_b)
-                result[key] = result.get(key, ZERO) + prob_a
-            return result
-    # General case: batch the per-key accumulation.  Each result key
-    # gathers its (prob_a, prob_b) term pairs and is summed in one
-    # integer-accumulating pass (one Fraction normalization per key
-    # instead of one per term — see
-    # :func:`repro.pxml.events.weighted_sum`).
-    terms: dict[AggregateKey, tuple[list[Fraction], list[Fraction]]] = {}
-    for key_a, prob_a in a.items():
-        for key_b, prob_b in b.items():
-            key = op(key_a, key_b)
-            entry = terms.get(key)
-            if entry is None:
-                entry = ([], [])
-                terms[key] = entry
-            entry[0].append(prob_a)
-            entry[1].append(prob_b)
-    return {
-        key: weighted_sum(weights, values)
-        for key, (weights, values) in terms.items()
-    }
-
-
-def _mixture(
-    parts: list[tuple[Fraction, AggregateDistribution]]
-) -> AggregateDistribution:
-    # Mixture weights share the choice node's small common denominator;
-    # accumulating each key's Σ weight·prob as integers over a running
-    # lcm (weighted_sum) skips the per-term Fraction normalizations.
-    terms: dict[AggregateKey, tuple[list[Fraction], list[Fraction]]] = {}
-    for weight, distribution in parts:
-        for key, prob in distribution.items():
-            entry = terms.get(key)
-            if entry is None:
-                entry = ([], [])
-                terms[key] = entry
-            entry[0].append(weight)
-            entry[1].append(prob)
-    return {
-        key: weighted_sum(weights, probs)
-        for key, (weights, probs) in terms.items()
-    }
-
-
 def _add(a: AggregateKey, b: AggregateKey) -> AggregateKey:
     return _normalize_key(a + b)
 
@@ -395,7 +326,10 @@ _MONOIDS: dict[str, tuple[Callable, AggregateKey]] = {
 class _StructuralAggregator:
     """Bottom-up convolution over the fragment with exact tree
     semantics: elements matched by (tag, optional leaf-text equality),
-    children independent given the parent, possibilities mixed."""
+    children independent given the parent, possibilities mixed.  A
+    :class:`~repro.query.treepass.TreeFold`: the traversal, and its one
+    deadline poll per probability node, is
+    :func:`~repro.query.treepass.fold_tree`'s."""
 
     def __init__(self, spec: AggregateSpec):
         self.spec = spec
@@ -472,26 +406,35 @@ class _StructuralAggregator:
             distribution[key] = distribution.get(key, ZERO) + prob
         return distribution
 
-    # -- traversal ----------------------------------------------------------
+    # -- the fold (run by repro.query.treepass.fold_tree) --------------------
 
-    def aggregate_element(self, element: PXElement) -> AggregateDistribution:
+    def enter(self, element: PXElement, state: None) -> tuple[None, bool]:
+        return state, True
+
+    def element(
+        self,
+        element: PXElement,
+        state: None,
+        children: list[AggregateDistribution],
+    ) -> AggregateDistribution:
         total = self._own(element)
-        for prob_child in element.children:
-            total = _combine(total, self.aggregate_prob(prob_child), self.op)
+        for distribution in children:
+            total = convolve(total, distribution, self.op)
         return total
 
-    def aggregate_prob(self, node: ProbNode) -> AggregateDistribution:
-        checkpoint()
+    def prob(
+        self,
+        node: ProbNode,
+        state: None,
+        possibilities: list[list[AggregateDistribution]],
+    ) -> AggregateDistribution:
         parts = []
-        for possibility in node.possibilities:
+        for possibility, elements in zip(node.possibilities, possibilities):
             branch: AggregateDistribution = {self.identity: ONE}
-            for child in possibility.children:
-                if isinstance(child, PXElement):
-                    branch = _combine(
-                        branch, self.aggregate_element(child), self.op
-                    )
+            for distribution in elements:
+                branch = convolve(branch, distribution, self.op)
             parts.append((possibility.prob, branch))
-        return _mixture(parts)
+        return mixture(parts)
 
 
 # -- public entry points -------------------------------------------------------
@@ -554,8 +497,9 @@ def aggregate_distribution(
         if zero_mass < ONE:
             distribution[1] = ONE - zero_mass
     else:
-        aggregator = _StructuralAggregator(spec)
-        distribution = _canonical(aggregator.aggregate_prob(document.root))
+        distribution = _canonical(
+            fold_tree(document.root, _StructuralAggregator(spec), None)
+        )
     if cache is not None:
         # Store a private copy and return the freshly-built mapping:
         # exactly one copy per call, and the caller can never alias (and

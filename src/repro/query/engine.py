@@ -22,29 +22,40 @@ DESIGN.md).  Positional predicates and arithmetic inside predicates have
 no possible-worlds compilation here and raise :class:`QueryError` — at
 *compile* time, before any document is touched.
 
-Two layers of amortization (both per document, both exact):
+Which path prices what (all exact, all per document):
 
-* queries compile once into a :class:`~repro.query.plan.QueryPlan`; the
-  per-document answer-event map is cached under the plan's structural
-  fingerprint, so re-running a query skips the tree walk entirely;
-* every event probability goes through the document's shared
-  :class:`~repro.pxml.events_cache.EventProbabilityCache`, so sub-events
-  common across queries (and across engines over the same document) are
-  expanded once and resolve by interned digest afterwards.  Cache misses
-  are priced **top-down**: the answer event is compiled into a
-  component-factored plan (:mod:`repro.pxml.events_compile`) whose
-  products/coproducts mirror the independence structure the traversal
-  built — axis steps over disjoint subtrees never enter the same
-  Shannon expansion — and literal/small-conjunction rows resolve
-  through the cross-document
-  :class:`~repro.pxml.events_compile.LiteralProbabilityTable`, so
-  fan-out pricing of one plan across a dataspace reuses rows between
-  documents.
+* :meth:`ProbQueryEngine.query` (and so ``run``, ``run_batch``, the
+  dataspace service and feedback's ranked answers) prices an *anchored*
+  plan (:class:`~repro.query.plan.Anchor` — e.g. ``//person/tel``,
+  ``//tel/text()``, ``//person[nm="n0"]/tel``) in one bottom-up pass
+  over the tree (:mod:`repro.query.treepass`): a mixture at every
+  probability node, an independent OR at every element.  An anchor
+  that is the answer node contributes its string-value distribution
+  with no events at all; an anchor carrying predicates or later steps
+  contributes its *anchor-local* events, which this engine's walk
+  builds from the anchor and the document's shared
+  :class:`~repro.pxml.events_cache.EventProbabilityCache` prices.  The
+  priced answer is memoized in the cache's answer side table under the
+  plan's fingerprint;
+* every other plan, and an anchored plan over a document that nests
+  one anchor inside another, is walked into per-value answer events
+  (cached under the plan's fingerprint, so a re-run skips the walk) and
+  priced through the shared cache.  Its misses are priced top-down:
+  each event is compiled into a component-factored plan
+  (:mod:`repro.pxml.events_compile`) whose products mirror the
+  independence structure the traversal built, and literal and
+  small-conjunction rows resolve through the cross-document
+  :class:`~repro.pxml.events_compile.LiteralProbabilityTable`;
+* :meth:`~ProbQueryEngine.answer_events`,
+  :meth:`~ProbQueryEngine.answer_probability`,
+  :meth:`~ProbQueryEngine.exists_probability` and feedback conditioning
+  always take the walk: answer events are the unit they observe.
 
 Construct with ``use_cache=False`` for the uncached reference behaviour
 (``cache=None`` is the default and means "use the document's shared
-cache") — the uncached path is the pure bottom-up kernel, benchmarks
-compare the two, and the test suite asserts they are Fraction-equal.
+cache") — the uncached path is the walk plus the pure bottom-up kernel
+for every plan, benchmarks compare against it, and the test suite
+asserts the paths are Fraction-equal.
 
 ``query_enumeration`` provides the literal per-world semantics as the
 reference implementation (exponential; guarded by a world limit).
@@ -53,6 +64,7 @@ reference implementation (exponential; guarded by a world limit).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ..deadline import checkpoint
@@ -97,6 +109,13 @@ from .ranking import (
     RankedItem,
     merge_ranked,
     ranked_from_events,
+    ranked_from_probabilities,
+)
+from .treepass import (
+    MAX_VALUE_ALTERNATIVES,
+    PricedAnswer,
+    price_anchored,
+    too_many_values,
 )
 
 _DOC = object()  # sentinel for the virtual document node
@@ -179,8 +198,24 @@ class ProbQueryEngine:
 
     def query(self, expression: QueryLike) -> RankedAnswer:
         """Evaluate a node-selecting XPath; returns the amalgamated ranked
-        answer over the value realisations of the selected nodes."""
-        contributions = self.answer_events(expression)
+        answer over the value realisations of the selected nodes.
+
+        With caching on, an anchored plan (:class:`~repro.query.plan.
+        Anchor`) is priced by the one-pass tree DP of
+        :mod:`repro.query.treepass` and memoized per document; every
+        other plan, and an anchored plan over a document that nests one
+        anchor inside another, is walked into answer events and priced
+        through the shared cache."""
+        plan = self.compile(expression)
+        if self.cache is not None:
+            priced = price_anchored(
+                self.document, plan, self.cache, partial(self._local_answer, plan)
+            )
+            if priced is not None:
+                return ranked_from_probabilities(
+                    priced, [probability for probability, _ in priced.values()]
+                )
+        contributions = self.answer_events(plan)
         return ranked_from_events(contributions, self._probabilities)
 
     def answer_events(self, expression: QueryLike) -> dict[str, tuple[Event, int]]:
@@ -251,7 +286,33 @@ class ProbQueryEngine:
     def _compute_answer_events(
         self, plan: QueryPlan
     ) -> dict[str, tuple[Event, int]]:
-        results = self._eval_nodeset(plan, plan.ast, self._root_context, {})
+        return self._occurrence_events(
+            self._eval_nodeset(plan, plan.ast, self._root_context, {})
+        )
+
+    def _local_answer(
+        self, plan: QueryPlan, path: Path, element: PXElement
+    ) -> PricedAnswer:
+        """The tree pass's anchor-local pricing: ``path`` walked from the
+        anchor ``element`` (existence taken as given), each value's
+        events priced through the shared cache."""
+        results = self._eval_nodeset(
+            plan, path, PContext(element, TRUE_EVENT, None), {}
+        )
+        events = self._occurrence_events(results)
+        probabilities = self.probabilities([event for event, _ in events.values()])
+        return {
+            value: (probability, count)
+            for (value, (_, count)), probability in zip(
+                events.items(), probabilities
+            )
+        }
+
+    def _occurrence_events(
+        self, results: list[PContext]
+    ) -> dict[str, tuple[Event, int]]:
+        """value -> (OR of its occurrence events, occurrences) over the
+        selected nodes ``results``."""
         contributions: dict[str, list[Event]] = {}
         counts: dict[str, int] = {}
         for context in results:
@@ -465,13 +526,6 @@ class ProbQueryEngine:
 
     # -- values ---------------------------------------------------------------
 
-    #: Cap on the number of distinct (value, event) realisations tracked
-    #: per node; beyond this the query is asking for a cross product of
-    #: value variants that has no compact answer.  A node never has more
-    #: distinct values than its document has worlds, so a document of at
-    #: most this many worlds is always answered.
-    MAX_VALUE_ALTERNATIVES = 1024
-
     def _value_alternatives(self, context: PContext) -> list[tuple[str, Event]]:
         """The possible string values of a node, each with the event under
         which that value is realised (absolute, includes existence).
@@ -518,12 +572,8 @@ class ProbQueryEngine:
                         (text + branch_text, all_of([event, branch_event]))
                     )
             alternatives = self._dedupe_values(merged)
-            if len(alternatives) > self.MAX_VALUE_ALTERNATIVES:
-                raise QueryError(
-                    f"value of <{element.tag}> has more than"
-                    f" {self.MAX_VALUE_ALTERNATIVES} realisations;"
-                    " compare a more specific node instead"
-                )
+            if len(alternatives) > MAX_VALUE_ALTERNATIVES:
+                raise too_many_values(element)
         return alternatives
 
     @staticmethod

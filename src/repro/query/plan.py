@@ -22,7 +22,10 @@ everything that is static:
   AST, independent of surface syntax (whitespace, redundant syntax), used
   by :class:`repro.pxml.events_cache.EventProbabilityCache` to key
   per-document answer caches: two engines compiling ``//a/b`` and
-  ``//a/b`` (or the same plan reused) share one cached answer-event map.
+  ``//a/b`` (or the same plan reused) share one cached answer-event map;
+* **anchor** — whether the plan is *anchored*, i.e. priceable by the
+  one-pass tree DP of :mod:`repro.query.treepass` (see :class:`Anchor`);
+  decided from the AST alone, once per plan.
 
 Plans are immutable and document-independent: compile once, run against
 any number of documents, from any number of engines.
@@ -38,6 +41,10 @@ from ..errors import QueryError
 from ..pxml.model import PXElement, PXText
 from ..xmlkit.xpath.ast import (
     AXES,
+    AXIS_ATTRIBUTE,
+    AXIS_CHILD,
+    AXIS_DESCENDANT,
+    AXIS_SELF,
     BinaryOp,
     FunctionCall,
     Literal,
@@ -55,7 +62,7 @@ from ..xmlkit.xpath.ast import (
 )
 from ..xmlkit.xpath.parser import compile_xpath
 
-__all__ = ["PAttr", "StepPlan", "QueryPlan", "compile_plan"]
+__all__ = ["Anchor", "PAttr", "StepPlan", "QueryPlan", "compile_plan"]
 
 #: Functions with a possible-worlds compilation in the engine.
 SUPPORTED_FUNCTIONS = frozenset(
@@ -117,6 +124,33 @@ class StepPlan:
         return cls(step.axis, step.test, step.predicates, _make_matcher(step.test))
 
 
+@dataclass(frozen=True)
+class Anchor:
+    """The tree-pass shape of an anchored plan.
+
+    A plan is *anchored* when it is one path whose leading steps use the
+    child or descendant axis with a name or ``*`` test, and whatever
+    follows the *anchor* — the first leading step that carries
+    predicates, or else the last leading step — stays inside the anchor
+    element's subtree: the anchor's predicates and the later steps use
+    only child, descendant, self and attribute axes and relative paths,
+    and every variable a predicate reads is bound by a quantifier inside
+    that same predicate.
+
+    ``descendant`` and ``names`` describe the leading steps up to and
+    including the anchor (``None`` is the ``*`` test): they are the DP
+    state of :mod:`repro.query.treepass`.  ``local`` is the path the
+    engine walks from each anchor element — a ``self::node()`` step
+    carrying the anchor's predicates, then the later steps — or ``None``
+    when the anchor itself is the answer node and contributes its string
+    value.
+    """
+
+    descendant: tuple[bool, ...]
+    names: tuple[Optional[str], ...]
+    local: Optional[Path]
+
+
 class QueryPlan:
     """A compiled, reusable, document-independent query.
 
@@ -124,7 +158,7 @@ class QueryPlan:
     constructing directly.
     """
 
-    __slots__ = ("expression", "ast", "fingerprint", "_steps", "_digest")
+    __slots__ = ("expression", "ast", "fingerprint", "anchor", "_steps", "_digest")
 
     def __init__(self, expression: Optional[str], ast: XPathNode) -> None:
         self.expression = expression
@@ -132,6 +166,9 @@ class QueryPlan:
         _validate(ast, scope=frozenset(), as_nodeset=True)
         steps: dict[Step, StepPlan] = {}
         _collect_steps(ast, steps)
+        self.anchor: Optional[Anchor] = _anchor_of(ast)
+        if self.anchor is not None and self.anchor.local is not None:
+            _collect_steps(self.anchor.local, steps)
         self._steps = steps
         self.fingerprint: tuple[object, ...] = _fingerprint(ast)
         self._digest: Optional[str] = None
@@ -290,6 +327,70 @@ def _validate_operand(ast: XPathNode, scope: frozenset[str]) -> None:
         _validate(ast, scope, as_nodeset=True)
         return
     raise QueryError(f"unsupported comparison operand {type(ast).__name__}")
+
+
+# -- anchors -------------------------------------------------------------------
+
+#: Axes that never leave the context node's subtree.
+_LOCAL_AXES = frozenset({AXIS_CHILD, AXIS_DESCENDANT, AXIS_SELF, AXIS_ATTRIBUTE})
+
+
+def _anchor_of(ast: XPathNode) -> Optional[Anchor]:
+    """The :class:`Anchor` of ``ast``, or ``None`` when it is not anchored."""
+    if not isinstance(ast, Path) or ast.base is not None:
+        return None
+    descendant: list[bool] = []
+    names: list[Optional[str]] = []
+    for step in ast.steps:
+        test = step.test
+        if step.axis not in (AXIS_CHILD, AXIS_DESCENDANT) or not isinstance(
+            test, NameTest
+        ):
+            break
+        descendant.append(step.axis == AXIS_DESCENDANT)
+        names.append(None if test.is_wildcard else test.name)
+        if step.predicates:
+            break
+    if not names:
+        return None
+    anchor = ast.steps[len(names) - 1]
+    later = ast.steps[len(names):]
+    local: Optional[Path] = None
+    if anchor.predicates or later:
+        local = Path((Step(AXIS_SELF, NodeTest(), anchor.predicates), *later))
+        if not _is_local(local, frozenset()):
+            return None
+    return Anchor(tuple(descendant), tuple(names), local)
+
+
+def _is_local(ast: XPathNode, scope: frozenset[str]) -> bool:
+    """Whether ``ast``, evaluated at an element, reads only that element's
+    subtree: local axes, relative paths, and variables from ``scope`` —
+    the quantifiers of the predicate being checked (each step predicate
+    starts a fresh scope)."""
+    if isinstance(ast, Path):
+        if ast.absolute or (
+            ast.base is not None and not _is_local(ast.base, scope)
+        ):
+            return False
+        return all(
+            step.axis in _LOCAL_AXES
+            and all(_is_local(p, frozenset()) for p in step.predicates)
+            for step in ast.steps
+        )
+    if isinstance(ast, VarRef):
+        return ast.name in scope
+    if isinstance(ast, (Literal, Number)):
+        return True
+    if isinstance(ast, (UnionExpr, BinaryOp)):
+        return _is_local(ast.left, scope) and _is_local(ast.right, scope)
+    if isinstance(ast, FunctionCall):
+        return all(_is_local(arg, scope) for arg in ast.args)
+    if isinstance(ast, Quantified):
+        return _is_local(ast.sequence, scope) and _is_local(
+            ast.condition, scope | {ast.variable}
+        )
+    return False
 
 
 # -- step collection -----------------------------------------------------------

@@ -249,6 +249,24 @@ class TestCacheDiscipline:
         assert cache.aggregate(doc, count_key) is not None
 
 
+class TestDeepDocuments:
+    def test_count_over_a_500_deep_document(self):
+        """The convolution runs on an explicit stack: a chain of 500
+        nested <a> elements, each below the top one present with
+        probability 1/2, aggregates without RecursionError."""
+        depth = 500
+        half = Fraction(1, 2)
+        node = PXElement("a")
+        for _ in range(depth - 1):
+            node = PXElement("a", children=[choice_prob([(half, [node]), (half, [])])])
+        document = PXDocument(certain_prob(node))
+        distribution = count_distribution(document, "a")
+        expected = {count: half ** count for count in range(1, depth)}
+        expected[depth] = half ** (depth - 1)
+        assert distribution == expected
+        assert sum(distribution.values()) == 1
+
+
 class TestMoments:
     def test_expected_count(self):
         assert expected_count({1: Fraction(2, 3), 2: Fraction(1, 3)}) == Fraction(4, 3)

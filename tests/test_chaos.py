@@ -33,6 +33,7 @@ from repro.deadline import Deadline, active
 from repro.errors import DeadlineExceededError
 from repro.query.aggregates import aggregate_distribution
 from repro.query.engine import QueryEngine
+from repro.query.ranking import ranked_from_events
 from repro.server.client import DataspaceClient, ServerError
 from repro.server.multiproc import MultiProcServer
 from repro.server.wire import encode_fused_answer
@@ -61,6 +62,12 @@ def snapshot(answer) -> list:
     return [
         (item.value, item.probability, item.occurrences) for item in answer
     ]
+
+
+def price_events(engine, query):
+    """``query``'s answer priced the event way: the walk's answer events
+    through the engine's bulk pricing (the kernel path)."""
+    return ranked_from_events(engine.answer_events(query), engine.probabilities)
 
 
 def build_service(tmp_path: Path, label: str, **kwargs) -> DataspaceService:
@@ -409,7 +416,7 @@ class TestDeadlineChaos:
         reference = QueryEngine(merged_book())
         reference.answer_events(query)
         started = time.perf_counter()
-        reference.query(query)
+        price_events(reference, query)
         pricing = time.perf_counter() - started
 
         document = merged_book()
@@ -418,15 +425,55 @@ class TestDeadlineChaos:
         started = time.perf_counter()
         with pytest.raises(DeadlineExceededError):
             with active(Deadline.from_ms(20)):
-                engine.query(query)
+                price_events(engine, query)
         interrupted = time.perf_counter() - started
         assert interrupted < pricing / 2, (
             f"20 ms budget ran {interrupted * 1000:.0f} ms against"
             f" {pricing * 1000:.0f} ms of unbudgeted pricing"
         )
-        assert snapshot(engine.query(query)) == snapshot(
+        assert snapshot(price_events(engine, query)) == snapshot(
             QueryEngine(document, use_cache=False).query(query)
         )
+
+    def test_budget_interrupts_the_tree_pass(self):
+        """Tree-pass stage: ``query`` prices an anchored plan in one pass
+        that polls the deadline per probability node, so a 20 ms budget
+        on a merged 5x5 address book stops well inside the time the
+        unbudgeted pass takes.  The interrupted call memoizes nothing: an
+        unbudgeted re-query is Fraction-identical to the unbudgeted pass
+        over a twin document (the uncached walk takes minutes here; the
+        pass's agreement with it is pinned by tests/test_tree_pass.py)."""
+
+        def merged_book():
+            book_a, book_b = addressbook_documents(
+                [(f"p{i}", f"1{i}") for i in range(5)],
+                [(f"p{i}", f"2{i}") for i in range(5)],
+            )
+            return integrate(
+                book_a, book_b,
+                rules=[DeepEqualRule(), LeafValueRule()],
+                dtd=ADDRESSBOOK_DTD,
+            ).document
+
+        query = "//person/tel"
+        twin = QueryEngine(merged_book())
+        started = time.perf_counter()
+        expected = twin.query(query)
+        unbudgeted = time.perf_counter() - started
+
+        document = merged_book()
+        engine = QueryEngine(document)
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceededError):
+            with active(Deadline.from_ms(20)):
+                engine.query(query)
+        interrupted = time.perf_counter() - started
+        assert interrupted < unbudgeted / 2, (
+            f"20 ms budget ran {interrupted * 1000:.0f} ms against"
+            f" {unbudgeted * 1000:.0f} ms of unbudgeted tree pass"
+        )
+        assert engine.cache_stats()["answers"] == 0
+        assert snapshot(engine.query(query)) == snapshot(expected)
 
     def test_budget_interrupts_the_aggregate_convolution(self):
         """Aggregate stage: the convolution polls the deadline, so a

@@ -797,14 +797,11 @@ class TestLiveTree:
         assert stale == []
 
     def test_checked_in_baseline_is_small_and_known(self):
-        """The baseline shrinks, never grows: every grandfathered
-        identity is one of the two known aggregate recursion cycles."""
-        baseline = load_baseline(DEFAULT_BASELINE)
-        assert len(baseline) == 2
-        for identity in baseline:
-            assert identity.startswith(
-                "no-recursion::src/repro/query/aggregates.py::"
-            )
+        """The baseline shrinks, never grows, and has shrunk to nothing:
+        the aggregate convolution's recursion cycle, its last two
+        grandfathered identities, now runs on the tree pass's
+        explicit-stack traversal."""
+        assert load_baseline(DEFAULT_BASELINE) == {}
 
     def test_real_codec_pins_match_current_surface(self):
         for rel in ("repro/dbms/cache_store.py", "repro/server/wire.py"):

@@ -30,6 +30,7 @@ from repro.pxml.events_cache import EventProbabilityCache, cache_for, invalidate
 from repro.pxml.simplify import simplify
 from repro.query.engine import ProbQueryEngine, QueryEngine
 from repro.query.plan import QueryPlan, compile_plan
+from repro.query.ranking import ranked_from_events
 from repro.xmlkit.parser import parse_document
 from .conftest import pxml_documents
 
@@ -47,6 +48,13 @@ QUERIES = [
 
 def ranked_map(answer):
     return {item.value: item.probability for item in answer}
+
+
+def price_events(engine, query):
+    """The answer of ``query`` priced the event way: the walk's answer
+    events through the engine's bulk pricing (the path ``query`` takes
+    for plans outside the tree pass's scope)."""
+    return ranked_from_events(engine.answer_events(query), engine.probabilities)
 
 
 @pytest.fixture(scope="module")
@@ -215,19 +223,44 @@ class TestEventProbabilityCache:
     def test_stats_count_hits(self, figure2_document):
         cache = EventProbabilityCache()
         engine = ProbQueryEngine(figure2_document, cache=cache)
-        engine.query("//person/tel")
+        price_events(engine, "//person/tel")
         misses = cache.misses
         assert misses > 0 and cache.hits == 0
         # The answer-event cache absorbs the repeat entirely.
-        engine.query("//person/tel")
+        price_events(engine, "//person/tel")
         assert cache.misses == misses
+
+    def test_tree_pass_repeat_is_a_memo_hit(self, figure2_document, monkeypatch):
+        """The tree pass's twin of the contract above: a repeated query
+        is served from the priced-answer memo, without a second pass."""
+        from repro.query import treepass
+
+        cache = EventProbabilityCache()
+        engine = ProbQueryEngine(figure2_document, cache=cache)
+        first = engine.query("//person/tel")
+        assert cache.stats()["answers"] == 1
+
+        def no_second_pass(*args):
+            raise AssertionError("the repeat ran the pass again")
+
+        monkeypatch.setattr(treepass, "fold_tree", no_second_pass)
+        assert engine.query("//person/tel") == first
+        assert cache.stats()["answers"] == 1
 
     def test_invalidate_drops_registry_entry(self, figure2_document):
         cache = cache_for(figure2_document)
-        ProbQueryEngine(figure2_document).query("//person/tel")
+        price_events(ProbQueryEngine(figure2_document), "//person/tel")
         assert len(cache) > 0
         invalidate(figure2_document)
         assert len(cache) == 0
+        assert cache_for(figure2_document) is not cache
+
+    def test_invalidate_drops_tree_pass_memo(self, figure2_document):
+        cache = cache_for(figure2_document)
+        ProbQueryEngine(figure2_document).query("//person/tel")
+        assert cache.stats()["answers"] > 0
+        invalidate(figure2_document)
+        assert cache.stats()["answers"] == 0
         assert cache_for(figure2_document) is not cache
 
     def test_simplify_is_functional_and_keeps_input_cache(self, figure2_document):
@@ -235,13 +268,28 @@ class TestEventProbabilityCache:
         stays valid and populated, and the simplified copy answers
         identically through its own (fresh) cache."""
         document = figure2_document.copy()
-        ProbQueryEngine(document).query("//person/tel")
+        price_events(ProbQueryEngine(document), "//person/tel")
         entries_before = len(cache_for(document))
         assert entries_before > 0
         simplified, _ = simplify(document)
         assert len(cache_for(document)) == entries_before
+        assert ranked_map(
+            price_events(ProbQueryEngine(simplified), "//person/tel")
+        ) == ranked_map(price_events(ProbQueryEngine(document), "//person/tel"))
+
+    def test_simplify_keeps_input_tree_pass_memo(self, figure2_document):
+        """The same contract for the tree pass: the input document keeps
+        its priced-answer memo, and the simplified copy answers
+        identically through its own."""
+        document = figure2_document.copy()
+        answer = ProbQueryEngine(document).query("//person/tel")
+        plan = compile_plan("//person/tel")
+        memo = cache_for(document).priced_answer(document, plan.fingerprint)
+        assert memo is not None
+        simplified, _ = simplify(document)
+        assert cache_for(document).priced_answer(document, plan.fingerprint) is memo
         assert ranked_map(ProbQueryEngine(simplified).query("//person/tel")) == (
-            ranked_map(ProbQueryEngine(document).query("//person/tel"))
+            ranked_map(answer)
         )
 
     def test_in_place_mutation_requires_invalidate(self):

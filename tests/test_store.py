@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dbms.cache_store import document_digest
 from repro.dbms.store import DocumentStore
 from repro.errors import StoreError
 from repro.pxml.build import certain_document
@@ -193,6 +194,37 @@ class TestDigestsAndVersions:
         first = store.digest("doc")
         store.put("doc", parse("<r><x>2</x></r>"))
         assert store.digest("doc") != first
+
+    @pytest.mark.parametrize("kind", ["xml", "pxml"])
+    def test_fresh_store_reads_back_the_bytes_put_wrote(self, tmp_path, kind):
+        """Text with \\r\\n and a lone \\r reads back byte for byte, and a
+        fresh store's digest of the file is the one put recorded."""
+        document = parse_document("<a>x\r\ny\rz</a>")
+        if kind == "pxml":
+            document = certain_document(document)
+        store = DocumentStore(tmp_path)
+        store.put("lines", document)
+        recorded = store.digest("lines")
+        fresh = DocumentStore(tmp_path)
+        read_back = fresh.get("lines")
+        if kind == "pxml":
+            read_back = read_back.root.possibilities[0].children[0]
+            text = read_back.children[0].possibilities[0].children[0].value
+        else:
+            text = read_back.root.text()
+        assert text == "x\r\ny\rz"
+        assert DocumentStore(tmp_path).digest("lines") == recorded
+        assert recorded == document_digest(document)
+
+    def test_in_memory_digest_refuses_unencodable_text(self):
+        """An in-memory store refuses at digest what a directory-backed
+        one refuses at put: a typed StoreError, never UnicodeEncodeError."""
+        store = DocumentStore()
+        store.put("bad", XDocument(element("a", XText("\ud800"))))
+        with pytest.raises(StoreError, match="not UTF-8 encodable"):
+            store.digest("bad")
+        with pytest.raises(StoreError, match="not UTF-8 encodable"):
+            document_digest(certain_document(XDocument(element("a", XText("\udfff")))))
 
     def test_digest_missing_raises(self):
         with pytest.raises(StoreError):

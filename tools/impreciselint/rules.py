@@ -68,6 +68,7 @@ FLOAT_TAINT_SCOPE = (
     "repro/feedback/conditioning.py",
     "repro/query/plan.py",
     "repro/query/aggregates.py",
+    "repro/query/treepass.py",
     "repro/query/fusion.py",
     "repro/query/ranking.py",
     "repro/query/approximate.py",
@@ -384,6 +385,7 @@ NO_RECURSION_SCOPE = (
     "repro/pxml/events.py",
     "repro/pxml/events_compile.py",
     "repro/query/aggregates.py",
+    "repro/query/treepass.py",
     "repro/xmlkit/parser.py",
     "repro/xmlkit/serializer.py",
     "repro/pxml/serialize.py",
