@@ -1,15 +1,16 @@
-"""Ablation A3: compaction passes on integration outputs.
+"""Ablation A3: compaction of integration outputs.
 
-Measures how much :mod:`repro.pxml.simplify` shrinks real integration
-results (duplicate possibilities, factorable common content), and that the
-distribution over worlds is untouched.
+Times :func:`repro.pxml.simplify.simplify`, the one compaction pass, and
+measures how much it shrinks real integration results (duplicate
+possibilities, factorable common content), and that the distribution
+over worlds is untouched.
 """
 
 import pytest
 
 from repro.core.engine import Integrator
 from repro.experiments import movie_config, section6_sources, table1_sources
-from repro.pxml.simplify import simplify_fixpoint
+from repro.pxml.simplify import simplify
 from repro.pxml.worlds import world_count
 
 from .conftest import format_table, write_result
@@ -33,7 +34,7 @@ def test_simplify_ablation(benchmark, label):
                           max_possibilities=50_000)
     document = Integrator(config).integrate(source_a, source_b).document
 
-    simplified, report = benchmark(simplify_fixpoint, document)
+    simplified, report = benchmark(simplify, document)
 
     assert world_count(simplified) <= world_count(document)
     assert simplified.node_count() <= document.node_count()

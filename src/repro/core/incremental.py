@@ -30,7 +30,7 @@ from ..errors import IntegrationError
 from ..probability import ONE, ZERO
 from ..pxml.build import certain_document
 from ..pxml.model import PXDocument, Possibility, ProbNode
-from ..pxml.simplify import simplify_fixpoint
+from ..pxml.simplify import simplify
 from ..pxml.worlds import distinct_worlds
 from ..xmlkit.nodes import XDocument
 from .engine import IntegrationConfig, Integrator
@@ -70,7 +70,6 @@ class IncrementalIntegrator:
 
     config: IntegrationConfig
     world_budget: int = 64
-    compact: bool = True
     document: Optional[PXDocument] = None
     history: list[IncrementalReport] = field(default_factory=list)
 
@@ -101,9 +100,7 @@ class IncrementalIntegrator:
                 mixture.append(
                     Possibility(weight * possibility.prob, possibility.children)
                 )
-        document = PXDocument(mixture)
-        if self.compact:
-            document, _ = simplify_fixpoint(document)
+        document, _ = simplify(PXDocument(mixture))
         # The superseded document's cache dies with it (weak registry);
         # the replacement starts with a fresh, empty cache.
         self.document = document

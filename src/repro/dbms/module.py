@@ -73,9 +73,6 @@ class ImpreciseModule:
         # Querying a plain document works through its certain wrapper.
         return certain_document(document)
 
-    # Backwards-compatible alias (pre-docs-PR name).
-    _probabilistic = probabilistic
-
     # -- integration -----------------------------------------------------------
 
     def integrate(

@@ -6,9 +6,10 @@ budget is end-to-end rather than per-hop: the HTTP front parses
 ``deadline_ms`` into a deadline, :class:`~repro.dbms.service.
 DataspaceService` activates it for a query or a whole fan-out, and
 the engine's tree walk, the probability kernel's worklist
-(:func:`repro.pxml.events.event_probability`), and the tree traversal
-the tree pass and the aggregate convolution share
-(:func:`repro.query.treepass.fold_tree`) poll :func:`checkpoint`.
+(:func:`repro.pxml.events.event_probability`), and the one tree
+traversal the tree pass, the aggregate convolution, the walk's value
+folding and compaction share (:func:`repro.pxml.treefold.fold_tree`)
+poll :func:`checkpoint`.
 When the budget expires, the checkpoint raises the typed
 :class:`~repro.errors.DeadlineExceededError` — evaluation stops at the
 next loop iteration instead of running to completion.

@@ -9,8 +9,9 @@ the query engine.  Conditioning is exact:
 2. for each branch, rebuild the document with the assigned choices forced
    (probability 1, siblings dropped) — exact tree surgery, because the
    remaining choices are independent of the observed ones;
-3. mix the branch documents with their posterior weights (and let
-   :func:`repro.pxml.simplify.simplify_fixpoint` re-compact the result).
+3. mix the branch documents with their posterior weights, and compact
+   the posterior with :func:`repro.pxml.simplify.simplify` — always, in
+   its one pass.
 
 The cost is exponential only in the number of *variables the event
 mentions* (one answer's provenance), never in the document size.  The test
@@ -34,7 +35,7 @@ from ..pxml.model import (
     Possibility,
     ProbNode,
 )
-from ..pxml.simplify import simplify_fixpoint
+from ..pxml.simplify import simplify
 from ..pxml.stats import tree_stats
 from ..query.engine import ProbQueryEngine
 from ..query.ranking import RankedAnswer
@@ -218,7 +219,6 @@ def condition_on_event(
     event: Event,
     *,
     observed: bool = True,
-    compact: bool = True,
     branch_limit: int = DEFAULT_BRANCH_LIMIT,
 ) -> PXDocument:
     """The document's posterior given that ``event`` was observed true
@@ -252,9 +252,8 @@ def condition_on_event(
     # Conditioning is functional: the posterior is built from copies with
     # fresh uids, so the input document's cache stays valid — no
     # invalidation needed (see repro.pxml.events_cache).
-    if compact:
-        conditioned, _ = simplify_fixpoint(conditioned)
-    return conditioned
+    compacted, _ = simplify(conditioned)
+    return compacted
 
 
 @dataclass(frozen=True)
@@ -282,9 +281,8 @@ class FeedbackSession:
     integration result" loop (§I).
     """
 
-    def __init__(self, document: PXDocument, *, compact: bool = True):
+    def __init__(self, document: PXDocument):
         self.document = document
-        self.compact = compact
         self.history: list[FeedbackStep] = []
 
     def ranked(self, expression: str) -> RankedAnswer:
@@ -323,9 +321,7 @@ class FeedbackSession:
         # needed again by the next ranked() call), so feedback rides the
         # same memo as querying.
         prior = cache_for(self.document).probability(event)
-        self.document = condition_on_event(
-            self.document, event, observed=observed, compact=self.compact
-        )
+        self.document = condition_on_event(self.document, event, observed=observed)
         after = tree_stats(self.document)
         step = FeedbackStep(
             "confirm" if observed else "reject",

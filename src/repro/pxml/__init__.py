@@ -64,7 +64,8 @@ from .events_cache import (
     registered_count,
 )
 from .stats import NodeStats, expected_world_size, node_count, tree_stats
-from .simplify import SimplifyReport, simplify, simplify_fixpoint
+from .simplify import SimplifyReport, simplify
+from .treefold import TreeFold, fold_tree
 from .serialize import parse_pxml, pxml_to_text, pxml_to_xml, xml_to_pxml
 from .sampling import sample_world, sample_worlds
 from .measures import UncertaintyProfile, uncertainty_profile, world_entropy
@@ -117,7 +118,8 @@ __all__ = [
     "expected_world_size",
     "SimplifyReport",
     "simplify",
-    "simplify_fixpoint",
+    "TreeFold",
+    "fold_tree",
     "pxml_to_xml",
     "xml_to_pxml",
     "pxml_to_text",

@@ -9,7 +9,7 @@ several children under a single shared probability node instead.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from ..errors import ModelError
 from ..probability import ONE, ProbLike, as_probability
@@ -44,19 +44,28 @@ def choice_prob(
 
 
 def certain_element(element: XElement) -> PXElement:
-    """Convert a plain element subtree into its certain probabilistic form."""
-    children = [
-        certain_prob(_convert_child(child))
-        for child in element.children
-        if not (isinstance(child, XText) and not child.value.strip())
-    ]
-    return PXElement(element.tag, dict(element.attributes), children)
+    """Convert a plain element subtree into its certain probabilistic form.
 
-
-def _convert_child(child: XChild) -> PXChild:
-    if isinstance(child, XText):
-        return PXText(child.value)
-    return certain_element(child)
+    Depth-first on an explicit stack, so any depth converts: a child's
+    certain wrapper is made once its subtree is converted, so choice
+    variables are numbered children first, in document order."""
+    root = PXElement(element.tag, dict(element.attributes))
+    stack: list[tuple[PXElement, Iterator[XChild]]] = [(root, iter(element.children))]
+    while stack:
+        converted, pending = stack[-1]
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+            if stack:
+                stack[-1][0].children.append(certain_prob(converted))
+        elif isinstance(child, XText):
+            if child.value.strip():
+                converted.children.append(certain_prob(PXText(child.value)))
+        else:
+            stack.append(
+                (PXElement(child.tag, dict(child.attributes)), iter(child.children))
+            )
+    return root
 
 
 def certain_document(document: XDocument) -> PXDocument:
@@ -68,30 +77,63 @@ def certain_document(document: XDocument) -> PXDocument:
 def to_certain(node: Union[PXDocument, ProbNode, PXElement, PXText]) -> object:
     """Convert a *certain* probabilistic subtree back to plain XML.
 
-    Raises :class:`ModelError` when any real choice remains.  Documents map
-    to :class:`XDocument`, elements to :class:`XElement`, text to
-    :class:`XText`; a certain probability node maps to the list of plain
-    children of its single possibility.
+    Raises :class:`ModelError` when any real choice remains (the first
+    one in document order).  Documents map to :class:`XDocument`,
+    elements to :class:`XElement`, text to :class:`XText`; a certain
+    probability node maps to the list of plain children of its single
+    possibility.
     """
     if isinstance(node, PXDocument):
-        children = to_certain(node.root)
-        elements = [c for c in children if isinstance(c, XElement)]
+        elements = [c for c in _plain_children(node.root) if isinstance(c, XElement)]
         if len(elements) != 1:
             raise ModelError("certain document must have exactly one root element")
         return XDocument(elements[0])
     if isinstance(node, ProbNode):
-        if len(node.possibilities) != 1 or node.possibilities[0].prob != ONE:
-            raise ModelError(
-                f"probability node ▽{node.uid} is uncertain"
-                f" ({len(node.possibilities)} possibilities)"
-            )
-        return [to_certain(child) for child in node.possibilities[0].children]
+        return _plain_children(node)
     if isinstance(node, PXElement):
-        element = XElement(node.tag, dict(node.attributes))
-        for prob_child in node.children:
-            for plain in to_certain(prob_child):
-                element.append(plain)
-        return element
+        return _plain_element(node)
     if isinstance(node, PXText):
         return XText(node.value)
     raise ModelError(f"cannot convert {type(node).__name__}")
+
+
+def _certain_children(node: ProbNode) -> list[PXChild]:
+    """The children of ``node``'s single certain possibility."""
+    if len(node.possibilities) != 1 or node.possibilities[0].prob != ONE:
+        raise ModelError(
+            f"probability node ▽{node.uid} is uncertain"
+            f" ({len(node.possibilities)} possibilities)"
+        )
+    return node.possibilities[0].children
+
+
+def _regular_children(element: PXElement) -> Iterator[PXChild]:
+    """``element``'s regular grandchildren, in document order; each
+    probability child is checked when the walk reaches it."""
+    for prob_child in element.children:
+        yield from _certain_children(prob_child)
+
+
+def _plain_children(node: ProbNode) -> list[XChild]:
+    return [
+        XText(child.value) if isinstance(child, PXText) else _plain_element(child)
+        for child in _certain_children(node)
+    ]
+
+
+def _plain_element(element: PXElement) -> XElement:
+    """``element`` as plain XML, depth-first on an explicit stack."""
+    root = XElement(element.tag, dict(element.attributes))
+    stack = [(root, _regular_children(element))]
+    while stack:
+        plain, pending = stack[-1]
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+        elif isinstance(child, PXText):
+            plain.append(XText(child.value))
+        else:
+            converted = XElement(child.tag, dict(child.attributes))
+            plain.append(converted)
+            stack.append((converted, _regular_children(child)))
+    return root

@@ -720,8 +720,3 @@ def event_probability(
                 )
             memo[digest] = total
     return memo[event.digest]
-
-
-def conjunction_of_path(lits: Iterable[Event]) -> Event:
-    """Convenience alias used by traversals: AND of path literals."""
-    return all_of(lits)

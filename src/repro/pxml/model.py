@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ..errors import ModelError
 from ..probability import ONE, ProbLike, as_probability
@@ -29,6 +29,8 @@ from ..probability import ONE, ProbLike, as_probability
 _UID_COUNTER = itertools.count(1)
 
 PXChild = Union["PXElement", "PXText"]
+
+K = TypeVar("K")
 
 
 class PXText:
@@ -284,23 +286,58 @@ def _yields_top_text(node: ProbNode) -> bool:
     )
 
 
-def _content_keys(children: Sequence[PXChild]) -> tuple:
-    """Sorted keys of a possibility's content, with *adjacent* text runs
-    merged first — text concatenation order is semantically meaningful
-    (it is what worlds see), element order is not."""
-    merged: list[tuple] = []
+def _text_key(value: str) -> tuple:
+    """The key of a text node, or of a run of adjacent text nodes."""
+    return ("t", value)
+
+
+def _content_key(
+    children: Sequence[PXChild],
+    element_keys: Iterator[K],
+    run_key: Callable[[str], K],
+) -> tuple:
+    """The key of a possibility's content: *adjacent* text runs are merged
+    and keyed by ``run_key``, element children take their keys from
+    ``element_keys`` (one per element, in document order), and the keys
+    are sorted — text concatenation order is semantically meaningful (it
+    is what worlds see), element order is not."""
+    merged: list[K] = []
     buffer: list[str] = []
     for child in children:
         if isinstance(child, PXText):
             buffer.append(child.value)
         else:
             if buffer:
-                merged.append(("t", "".join(buffer)))
+                merged.append(run_key("".join(buffer)))
                 buffer = []
-            merged.append(px_canonical_key(child))
+            merged.append(next(element_keys))
     if buffer:
-        merged.append(("t", "".join(buffer)))
+        merged.append(run_key("".join(buffer)))
     return tuple(sorted(merged))
+
+
+def _element_key(element: PXElement, child_keys: list[K], ordered: bool) -> tuple:
+    """The key of ``element`` from its probability children's keys, in
+    document order.  Their order counts only when ``ordered``: when a
+    child's expansion can produce text at this level (text runs
+    concatenate in child order); pure element content is
+    order-insensitive, like deep equality."""
+    return (
+        "e",
+        element.tag,
+        tuple(sorted(element.attributes.items())),
+        tuple(child_keys if ordered else sorted(child_keys)),
+    )
+
+
+def _possibility_key(prob: Fraction, content: tuple) -> tuple:
+    """The key of a possibility from its probability and content key."""
+    return ("o", prob, content)
+
+
+def _prob_key(possibility_keys: Iterable[tuple]) -> tuple:
+    """The key of a probability node from its possibilities' keys."""
+    return ("p", tuple(sorted(possibility_keys)))
 
 
 def px_canonical_key(node: Union[ProbNode, Possibility, PXChild]) -> tuple:
@@ -311,22 +348,27 @@ def px_canonical_key(node: Union[ProbNode, Possibility, PXChild]) -> tuple:
     compared as units.  The key is *syntactic* — semantically equal trees
     with different factorings get different keys.  Run
     :mod:`repro.pxml.simplify` first when a semantic comparison is needed.
+    The key rules are the constructors above, which compaction shares.
     """
     if isinstance(node, PXText):
-        return ("t", node.value)
+        return _text_key(node.value)
     if isinstance(node, PXElement):
-        child_keys = [px_canonical_key(child) for child in node.children]
-        if not any(_yields_top_text(child) for child in node.children):
-            # Order matters only when nested expansions can produce text
-            # at this level (text runs concatenate in child order); pure
-            # element content is order-insensitive, like deep equality.
-            child_keys.sort()
-        return ("e", node.tag, tuple(sorted(node.attributes.items())), tuple(child_keys))
+        return _element_key(
+            node,
+            [px_canonical_key(child) for child in node.children],
+            any(_yields_top_text(child) for child in node.children),
+        )
     if isinstance(node, Possibility):
-        return ("o", node.prob, _content_keys(node.children))
+        elements = (
+            px_canonical_key(child)
+            for child in node.children
+            if isinstance(child, PXElement)
+        )
+        return _possibility_key(
+            node.prob, _content_key(node.children, elements, _text_key)
+        )
     if isinstance(node, ProbNode):
-        keys = sorted(px_canonical_key(p) for p in node.possibilities)
-        return ("p", tuple(keys))
+        return _prob_key(px_canonical_key(p) for p in node.possibilities)
     raise ModelError(f"cannot key {type(node).__name__}")
 
 

@@ -60,6 +60,7 @@ from ..errors import QueryError
 from ..probability import ONE, ZERO, format_percent
 from ..pxml.events_cache import EventProbabilityCache, cache_for
 from ..pxml.model import PXDocument, PXElement, PXText, ProbNode
+from ..pxml.treefold import fold_tree
 from ..pxml.worlds import DEFAULT_WORLD_LIMIT, iter_worlds
 from ..xmlkit.nodes import XElement
 from ..xmlkit.xpath import XPath
@@ -73,7 +74,7 @@ from ..xmlkit.xpath.ast import (
     Path,
 )
 from .plan import QueryPlan, _encode_fingerprint, compile_plan
-from .treepass import convolve, fold_tree, mixture
+from .treepass import convolve, mixture
 
 __all__ = [
     "AGGREGATE_KINDS",
@@ -327,9 +328,9 @@ class _StructuralAggregator:
     """Bottom-up convolution over the fragment with exact tree
     semantics: elements matched by (tag, optional leaf-text equality),
     children independent given the parent, possibilities mixed.  A
-    :class:`~repro.query.treepass.TreeFold`: the traversal, and its one
+    :class:`~repro.pxml.treefold.TreeFold`: the traversal, and its one
     deadline poll per probability node, is
-    :func:`~repro.query.treepass.fold_tree`'s."""
+    :func:`~repro.pxml.treefold.fold_tree`'s."""
 
     def __init__(self, spec: AggregateSpec):
         self.spec = spec
@@ -406,7 +407,7 @@ class _StructuralAggregator:
             distribution[key] = distribution.get(key, ZERO) + prob
         return distribution
 
-    # -- the fold (run by repro.query.treepass.fold_tree) --------------------
+    # -- the fold (run by repro.pxml.treefold.fold_tree) ---------------------
 
     def enter(self, element: PXElement, state: None) -> tuple[None, bool]:
         return state, True

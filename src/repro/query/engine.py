@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..deadline import checkpoint
 from ..errors import QueryError
@@ -81,7 +81,8 @@ from ..pxml.events import (
 )
 from ..pxml.events_cache import EventProbabilityCache, cache_for
 from ..pxml.events_compile import CompiledEvent, compile_event
-from ..pxml.model import PXDocument, PXElement, PXText
+from ..pxml.model import PXDocument, PXElement, PXText, ProbNode
+from ..pxml.treefold import fold_tree
 from ..pxml.worlds import DEFAULT_WORLD_LIMIT, iter_worlds
 from ..xmlkit.nodes import XDocument, XElement, XText
 from ..xmlkit.xpath import XPath
@@ -216,7 +217,7 @@ class ProbQueryEngine:
                     priced, [probability for probability, _ in priced.values()]
                 )
         contributions = self.answer_events(plan)
-        return ranked_from_events(contributions, self._probabilities)
+        return ranked_from_events(contributions, self.probabilities)
 
     def answer_events(self, expression: QueryLike) -> dict[str, tuple[Event, int]]:
         """For each distinct answer value: (event that it appears, number
@@ -280,9 +281,6 @@ class ProbQueryEngine:
             return self.cache.probabilities_of(events)
         return [event_probability(event) for event in events]
 
-    # Backwards-compatible internal alias.
-    _probabilities = probabilities
-
     def _compute_answer_events(
         self, plan: QueryPlan
     ) -> dict[str, tuple[Event, int]]:
@@ -315,9 +313,10 @@ class ProbQueryEngine:
         selected nodes ``results``."""
         contributions: dict[str, list[Event]] = {}
         counts: dict[str, int] = {}
+        known: _KnownValues = {}
         for context in results:
             checkpoint()
-            for value, event in self._value_alternatives(context):
+            for value, event in self._value_alternatives(context, known):
                 if not value:
                     continue
                 contributions.setdefault(value, []).append(event)
@@ -347,14 +346,20 @@ class ProbQueryEngine:
                 yield from context.child_contexts()
             return
         if axis == AXIS_DESCENDANT:
-            children = (
+            # Pre-order, in document order, on an explicit stack of the
+            # open nodes' child iterators.
+            stack = [
                 self._document_children()
                 if context.node is _DOC
                 else context.child_contexts()
-            )
-            for child in children:
+            ]
+            while stack:
+                child = next(stack[-1], None)
+                if child is None:
+                    stack.pop()
+                    continue
                 yield child
-                yield from self._axis(child, AXIS_DESCENDANT)
+                stack.append(child.child_contexts())
             return
         if axis == AXIS_PARENT:
             if context.parent is not None:
@@ -526,12 +531,16 @@ class ProbQueryEngine:
 
     # -- values ---------------------------------------------------------------
 
-    def _value_alternatives(self, context: PContext) -> list[tuple[str, Event]]:
+    def _value_alternatives(
+        self, context: PContext, known: _KnownValues
+    ) -> list[tuple[str, Event]]:
         """The possible string values of a node, each with the event under
         which that value is realised (absolute, includes existence).
 
         Element values follow XPath string-value semantics: the
         concatenation of all descendant text in document order, per world.
+        ``known`` memoizes element values across the nodes of one node
+        set (see :meth:`_element_values`).
         """
         node = context.node
         if isinstance(node, (PXText, PAttr)):
@@ -539,54 +548,32 @@ class ProbQueryEngine:
         if isinstance(node, PXElement):
             return [
                 (value, all_of([context.event, event]))
-                for value, event in self._element_values(node)
+                for value, event in self._element_values(node, known)
             ]
         raise QueryError("the document node has no value")
 
-    def _element_values(self, element: PXElement) -> list[tuple[str, Event]]:
-        """(string value, relative event) realisations of an element —
-        events mention only choices below the element."""
-        alternatives: list[tuple[str, Event]] = [("", TRUE_EVENT)]
-        for prob_child in element.children:
-            branch_values: list[tuple[str, Event]] = []
-            for index, possibility in enumerate(prob_child.possibilities):
-                choice = lit(prob_child, index)
-                partial: list[tuple[str, Event]] = [("", choice)]
-                for child in possibility.children:
-                    if isinstance(child, PXText):
-                        partial = [
-                            (text + child.value, event) for text, event in partial
-                        ]
-                    else:
-                        sub_values = self._element_values(child)
-                        partial = [
-                            (text + sub_text, all_of([event, sub_event]))
-                            for text, event in partial
-                            for sub_text, sub_event in sub_values
-                        ]
-                branch_values.extend(partial)
-            merged: list[tuple[str, Event]] = []
-            for text, event in alternatives:
-                for branch_text, branch_event in branch_values:
-                    merged.append(
-                        (text + branch_text, all_of([event, branch_event]))
-                    )
-            alternatives = self._dedupe_values(merged)
-            if len(alternatives) > MAX_VALUE_ALTERNATIVES:
-                raise too_many_values(element)
-        return alternatives
-
-    @staticmethod
-    def _dedupe_values(
-        alternatives: list[tuple[str, Event]]
+    def _element_values(
+        self, element: PXElement, known: _KnownValues
     ) -> list[tuple[str, Event]]:
-        grouped: dict[str, list[Event]] = {}
-        order: list[str] = []
-        for value, event in alternatives:
-            if value not in grouped:
-                order.append(value)
-            grouped.setdefault(value, []).append(event)
-        return [(value, any_of(grouped[value])) for value in order]
+        """(string value, relative event) realisations of an element —
+        events mention only choices below the element.
+
+        Its probability children merge in one at a time, in document
+        order.  An element child is valued when the merge reaches it, by
+        a fold of its subtree on :func:`~repro.pxml.treefold.fold_tree`
+        (an explicit stack, so any depth) that merges the same way:
+        the order of a depth-first evaluation, so the cap raises at the
+        same element.  Every element a fold values goes into ``known``,
+        so the nested nodes of one node set (``//a`` over nested ``a``)
+        are each valued once."""
+        alternatives = known.get(id(element))
+        if alternatives is None:
+            alternatives = [("", TRUE_EVENT)]
+            for prob_child in element.children:
+                alternatives = _merge_values(
+                    element, alternatives, prob_child, _fold_values, known
+                )
+        return alternatives
 
     def _operand_alternatives(
         self,
@@ -603,8 +590,9 @@ class ProbQueryEngine:
             return [(text, TRUE_EVENT)]
         if isinstance(ast, (Path, UnionExpr, VarRef)):
             alternatives: list[tuple[str, Event]] = []
+            known: _KnownValues = {}
             for node_context in self._eval_nodeset(plan, ast, context, variables):
-                alternatives.extend(self._value_alternatives(node_context))
+                alternatives.extend(self._value_alternatives(node_context, known))
             return alternatives
         raise QueryError(
             f"unsupported comparison operand {type(ast).__name__}"
@@ -684,6 +672,106 @@ class ProbQueryEngine:
         raise QueryError(
             f"function {ast.name}() is not supported in probabilistic queries"
         )
+
+
+#: id(element) -> its (string value, relative event) alternatives, for
+#: the elements valued while one node set is evaluated.
+_KnownValues = dict[int, list[tuple[str, Event]]]
+
+#: Gives an element child's alternatives while its parent merges.
+_ValuesOf = Callable[[PXElement, _KnownValues], list[tuple[str, Event]]]
+
+
+def _merge_values(
+    element: PXElement,
+    alternatives: list[tuple[str, Event]],
+    prob_child: ProbNode,
+    values_of: _ValuesOf,
+    known: _KnownValues,
+) -> list[tuple[str, Event]]:
+    """``element``'s ``alternatives`` with the values of its probability
+    child ``prob_child`` concatenated on; ``values_of(child, known)``
+    values each element child as the merge reaches it."""
+    branch_values: list[tuple[str, Event]] = []
+    for index, possibility in enumerate(prob_child.possibilities):
+        partial: list[tuple[str, Event]] = [("", lit(prob_child, index))]
+        for child in possibility.children:
+            if isinstance(child, PXText):
+                partial = [(text + child.value, event) for text, event in partial]
+            else:
+                sub_values = values_of(child, known)
+                partial = [
+                    (text + sub_text, all_of([event, sub_event]))
+                    for text, event in partial
+                    for sub_text, sub_event in sub_values
+                ]
+        branch_values.extend(partial)
+    merged: list[tuple[str, Event]] = []
+    for text, event in alternatives:
+        for branch_text, branch_event in branch_values:
+            merged.append((text + branch_text, all_of([event, branch_event])))
+    alternatives = _dedupe_values(merged)
+    if len(alternatives) > MAX_VALUE_ALTERNATIVES:
+        raise too_many_values(element)
+    return alternatives
+
+
+def _dedupe_values(
+    alternatives: list[tuple[str, Event]]
+) -> list[tuple[str, Event]]:
+    grouped: dict[str, list[Event]] = {}
+    order: list[str] = []
+    for value, event in alternatives:
+        if value not in grouped:
+            order.append(value)
+        grouped.setdefault(value, []).append(event)
+    return [(value, any_of(grouped[value])) for value in order]
+
+
+def _known_values(
+    element: PXElement, known: _KnownValues
+) -> list[tuple[str, Event]]:
+    return known[id(element)]
+
+
+class _ValueFold:
+    """The fold of :func:`_fold_values`.  An element's state is
+    ``[element, its alternatives so far]``; each probability child
+    merges into its parent's state when its subtree is done (its element
+    children already in ``known``), and the element folds to its
+    finished alternatives, recorded in ``known``.  An element already in
+    ``known`` is not descended into."""
+
+    def __init__(self, known: _KnownValues) -> None:
+        self.known = known
+
+    def enter(self, element: PXElement, state: object) -> tuple[list[Any], bool]:
+        alternatives = self.known.get(id(element))
+        if alternatives is None:
+            return [element, [("", TRUE_EVENT)]], True
+        return [element, alternatives], False
+
+    def element(
+        self, element: PXElement, state: list[Any], children: list[object]
+    ) -> list[tuple[str, Event]]:
+        self.known[id(element)] = state[1]
+        return state[1]
+
+    def prob(
+        self, node: ProbNode, state: list[Any], possibilities: list[list[object]]
+    ) -> None:
+        state[1] = _merge_values(state[0], state[1], node, _known_values, self.known)
+
+
+def _fold_values(element: PXElement, known: _KnownValues) -> list[tuple[str, Event]]:
+    """``element``'s alternatives, its subtree folded on
+    :func:`~repro.pxml.treefold.fold_tree`."""
+    fold = _ValueFold(known)
+    state, descend = fold.enter(element, None)
+    if descend:
+        for prob_child in element.children:
+            fold_tree(prob_child, fold, state)
+    return fold.element(element, state, [])
 
 
 class QueryEngine(ProbQueryEngine):

@@ -5,13 +5,9 @@ The choice points of a probabilistic XML tree are independent and nested
 needs no formula over choice variables.  It is a mixture at every
 probability node and an independent OR at every element: the shape the
 aggregate convolution (:mod:`repro.query.aggregates`) already computes.
-This module holds that shape once:
+This module holds that shape once, on the shared bottom-up traversal
+(:func:`repro.pxml.treefold.fold_tree`):
 
-* :func:`fold_tree` is the post-order traversal the answer pass and the
-  aggregate convolution both run on.  It keeps an explicit stack, so
-  document depth is bounded by memory and never by the interpreter
-  stack, and it polls the request deadline
-  (:func:`repro.deadline.checkpoint`) once per probability node;
 * :func:`convolve` and :func:`mixture` are the two batched Fraction
   folds: independent combination under a key operator, and a weighted
   mixture (:func:`repro.pxml.events.weighted_sum`);
@@ -46,23 +42,21 @@ falls back to the walk.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Generic, Iterator, Optional, Protocol, TypeVar, Union
+from typing import Callable, Optional, TypeVar
 
-from ..deadline import checkpoint
 from ..errors import QueryError
 from ..probability import ONE
 from ..pxml.events import product_of, weighted_sum
 from ..pxml.events_cache import EventProbabilityCache
 from ..pxml.model import PXDocument, PXElement, PXText, Possibility, ProbNode
+from ..pxml.treefold import fold_tree
 from ..xmlkit.xpath.ast import Path
 from .plan import Anchor, QueryPlan
 
 __all__ = [
     "MAX_VALUE_ALTERNATIVES",
     "PricedAnswer",
-    "TreeFold",
     "convolve",
-    "fold_tree",
     "mixture",
     "price_anchored",
     "too_many_values",
@@ -93,121 +87,7 @@ def too_many_values(element: PXElement) -> QueryError:
     )
 
 
-# -- the traversal -------------------------------------------------------------
-
-S = TypeVar("S")
-R = TypeVar("R")
 K = TypeVar("K")
-
-
-class TreeFold(Protocol[S, R]):
-    """A bottom-up fold over a probabilistic subtree (see :func:`fold_tree`).
-
-    ``S`` is the state handed down from an element to its children,
-    ``R`` the result handed up."""
-
-    def enter(self, element: PXElement, state: S) -> tuple[S, bool]:
-        """``element``'s own state, derived from its parent element's, and
-        whether to visit its children (``False`` folds it as a leaf)."""
-        ...
-
-    def element(self, element: PXElement, state: S, children: list[R]) -> R:
-        """Fold an element from its probability children's results, in
-        document order (empty when its children were not visited)."""
-        ...
-
-    def prob(self, node: ProbNode, state: S, possibilities: list[list[R]]) -> R:
-        """Fold a probability node: ``possibilities[i]`` holds the results
-        of possibility ``i``'s element children, in document order;
-        ``state`` is the parent element's."""
-        ...
-
-
-class _ProbFrame(Generic[S, R]):
-    __slots__ = ("node", "state", "pending", "results", "into")
-
-    def __init__(
-        self,
-        node: ProbNode,
-        state: S,
-        elements: list[tuple[int, PXElement]],
-        into: list[R],
-    ) -> None:
-        self.node = node
-        self.state = state
-        self.pending = iter(elements)
-        self.results: list[list[R]] = [[] for _ in node.possibilities]
-        self.into = into
-
-
-def _elements(node: ProbNode) -> list[tuple[int, PXElement]]:
-    """(possibility index, element) for every element child of ``node``."""
-    return [
-        (index, child)
-        for index, possibility in enumerate(node.possibilities)
-        for child in possibility.children
-        if isinstance(child, PXElement)
-    ]
-
-
-class _ElementFrame(Generic[S, R]):
-    __slots__ = ("node", "state", "pending", "results", "into")
-
-    def __init__(self, node: PXElement, state: S, into: list[R]) -> None:
-        self.node = node
-        self.state = state
-        self.pending: Iterator[ProbNode] = iter(node.children)
-        self.results: list[R] = []
-        self.into = into
-
-
-def fold_tree(root: ProbNode, fold: TreeFold[S, R], state: S) -> R:
-    """Fold the subtree under ``root`` bottom-up, every node after all of
-    its descendants, with an explicit stack.  ``state`` is the state
-    ``root``'s elements are entered with.  Polls
-    :func:`~repro.deadline.checkpoint` once per probability node."""
-    out: list[R] = []
-    checkpoint()
-    stack: list[Union[_ProbFrame[S, R], _ElementFrame[S, R]]] = [
-        _ProbFrame(root, state, _elements(root), out)
-    ]
-    while stack:
-        frame = stack[-1]
-        if isinstance(frame, _ProbFrame):
-            entry = next(frame.pending, None)
-            if entry is None:
-                stack.pop()
-                frame.into.append(fold.prob(frame.node, frame.state, frame.results))
-                continue
-            index, element = entry
-            element_state, descend = fold.enter(element, frame.state)
-            if descend:
-                stack.append(
-                    _ElementFrame(element, element_state, frame.results[index])
-                )
-            else:
-                frame.results[index].append(
-                    fold.element(element, element_state, [])
-                )
-        else:
-            child = next(frame.pending, None)
-            if child is None:
-                stack.pop()
-                frame.into.append(
-                    fold.element(frame.node, frame.state, frame.results)
-                )
-                continue
-            checkpoint()
-            elements = _elements(child)
-            if elements:
-                stack.append(_ProbFrame(child, frame.state, elements, frame.results))
-            else:  # text only: a leaf of the fold
-                frame.results.append(
-                    fold.prob(
-                        child, frame.state, [[] for _ in child.possibilities]
-                    )
-                )
-    return out[0]
 
 
 # -- the folds -----------------------------------------------------------------

@@ -167,6 +167,12 @@ class TestEndpoints:
         assert client.aggregate("deep", "count", "a") == {400: Fraction(1)}
         stored = client.load("tall", nested_xml(1200))
         assert stored == {"stored": "tall", "kind": "xml"}
+        assert client.query("tall", "//a").values() == []
+        assert client.aggregate("tall", "count", "a") == {1200: Fraction(1)}
+        stored = client.load("deeper", nested_pxml(1000), kind="pxml")
+        assert stored == {"stored": "deeper", "kind": "pxml"}
+        assert client.query("deeper", "//a").values() == []
+        assert client.aggregate("deeper", "count", "a") == {1000: Fraction(1)}
 
     def test_persistent_hits_over_http(self, live):
         client, _, _ = live

@@ -339,6 +339,24 @@ class TestNoRecursion:
         findings, _ = lint(tmp_path / "clean", rules=["no-recursion"])
         assert findings == []
 
+    @pytest.mark.parametrize(
+        "module",
+        ["repro/pxml/treefold.py", "repro/pxml/simplify.py", "repro/pxml/build.py"],
+    )
+    def test_seeded_mutation_of_real_tree_module(self, tmp_path, module):
+        source = (SRC / module).read_text(encoding="utf-8")
+        mutated = source + (
+            "\n\ndef _copy(node):\n"
+            "    return [_copy(child) for child in node.children]\n"
+        )
+        write_fixture(tmp_path, module, mutated)
+        findings, _ = lint(tmp_path, rules=["no-recursion"])
+        assert [f.qualname for f in findings] == ["_copy"]
+        # the real module itself is recursion-free
+        write_fixture(tmp_path / "clean", module, source)
+        findings, _ = lint(tmp_path / "clean", rules=["no-recursion"])
+        assert findings == []
+
 
 # -- no-swallow ---------------------------------------------------------------
 

@@ -13,10 +13,12 @@ from repro.pxml.build import (
     choice_prob,
     to_certain,
 )
-from repro.pxml.model import PXText
+from repro.pxml.model import PXElement, PXText
+from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serializer import serialize
 from repro.pxml.worlds import world_count
 from repro.xmlkit.nodes import XDocument, deep_equal, element
-from .conftest import xml_documents
+from .conftest import nested_xml, xml_documents
 
 
 class TestCertainConversion:
@@ -74,3 +76,29 @@ class TestToCertain:
         children = to_certain(certain_prob(certain_element(element("a", "x"))))
         assert len(children) == 1
         assert children[0].tag == "a"
+
+
+class TestDeepDocuments:
+    """Both directions keep their own stacks (they raised RecursionError
+    at a depth of 900)."""
+
+    def test_5000_deep_roundtrip(self):
+        text = nested_xml(5000)
+        converted = certain_document(parse_document(text))
+        assert serialize(to_certain(converted)) == serialize(parse_document(text))
+
+    def test_choice_variables_are_numbered_children_first(self):
+        converted = certain_element(element("r", element("a", "x"), "y"))
+        a_node, y_node = converted.children
+        (x_node,) = a_node.possibilities[0].children[0].children
+        assert x_node.uid < a_node.uid < y_node.uid
+
+    def test_first_uncertain_node_in_document_order_is_named(self):
+        first = choice_prob([("1/2", [PXText("a")]), ("1/2", [PXText("b")])])
+        second = choice_prob([("1/2", [PXText("c")]), ("1/2", [PXText("d")])])
+        tree = PXElement("r", children=[
+            certain_prob(PXElement("s", children=[first])),
+            certain_prob(PXElement("t", children=[second])),
+        ])
+        with pytest.raises(ModelError, match=f"▽{first.uid} is uncertain"):
+            to_certain(tree)

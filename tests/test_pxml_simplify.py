@@ -11,10 +11,11 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.pxml.build import certain_prob, choice_prob
 from repro.pxml.model import PXDocument, PXElement, PXText, Possibility, ProbNode
-from repro.pxml.simplify import simplify, simplify_fixpoint
+from repro.pxml.serialize import parse_pxml, pxml_to_text
+from repro.pxml.simplify import simplify
 from repro.pxml.worlds import distinct_worlds, world_count
 from repro.xmlkit.nodes import canonical_key
-from .conftest import make_leaf, pxml_documents
+from .conftest import make_leaf, nested_pxml, pxml_documents
 
 
 def world_distribution(doc):
@@ -91,18 +92,6 @@ class TestFactorCommon:
         assert world_distribution(simplified) == world_distribution(doc)
 
 
-class TestRenormalize:
-    def test_renormalizes_after_prune(self):
-        node = ProbNode([
-            Possibility(Fraction(1, 4), [make_leaf("a", "x")]),
-            Possibility(Fraction(1, 4), [make_leaf("a", "y")]),
-        ])
-        doc = PXDocument(ProbNode([Possibility(1, [PXElement("r", children=[node])])]))
-        simplified, _ = simplify(doc, renormalize=True)
-        inner = simplified.root.possibilities[0].children[0].children[0]
-        assert inner.total_probability() == 1
-
-
 class TestDistributionInvariance:
     @given(pxml_documents())
     @settings(suppress_health_check=[HealthCheck.too_slow], max_examples=40)
@@ -117,7 +106,42 @@ class TestDistributionInvariance:
     def test_fixpoint_never_grows(self, doc):
         if world_count(doc) > 200:
             return
-        simplified, report = simplify_fixpoint(doc)
+        simplified, report = simplify(doc)
         assert simplified.node_count() <= doc.node_count()
         assert report.nodes_after == simplified.node_count()
         assert world_distribution(simplified) == world_distribution(doc)
+
+
+def deep_chain(depth):
+    """A certain chain of ``depth`` nested ``<a>`` elements (3·depth − 2
+    nodes), built without recursion."""
+    element = PXElement("a")
+    for _ in range(depth - 1):
+        element = PXElement("a", children=[certain_prob(element)])
+    return element
+
+
+class TestDeepDocuments:
+    def test_5000_deep_document_compacts(self):
+        """The pass keeps its own stack: a 5,000-deep document, which the
+        recursive passes could not even count, compacts node for node."""
+        text = nested_pxml(5000)
+        simplified, report = simplify(parse_pxml(text))
+        assert pxml_to_text(simplified) == text
+        assert report.nodes_before == report.nodes_after == 3 * 5000
+        assert report.zero_pruned == report.duplicates_merged == 0
+        assert report.common_factored == report.trivial_collapsed == 0
+
+    def test_deep_duplicates_merge(self):
+        """Two identical 2,000-deep possibilities merge: keys are interned
+        as the pass returns, so comparing them walks no subtree."""
+        document = PXDocument(ProbNode([
+            Possibility(Fraction(1, 2), [deep_chain(2000)]),
+            Possibility(Fraction(1, 2), [deep_chain(2000)]),
+        ]))
+        simplified, report = simplify(document)
+        assert report.duplicates_merged == 1
+        assert report.nodes_before == 1 + 2 * (1 + 3 * 2000 - 2)
+        assert report.nodes_after == 1 + 1 + 3 * 2000 - 2
+        (possibility,) = simplified.root.possibilities
+        assert possibility.prob == 1

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.engine import integrate
 from repro.core.rules import DeepEqualRule, LeafValueRule
+from repro.dbms.service import DataspaceService
 from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.errors import QueryError
 from repro.pxml.build import certain_document, certain_prob, choice_prob
@@ -19,7 +20,7 @@ from repro.pxml.serialize import parse_pxml
 from repro.pxml.worlds import world_count
 from repro.query.engine import ProbQueryEngine, query_enumeration
 from repro.xmlkit.parser import parse_document
-from .conftest import make_leaf, pxml_documents
+from .conftest import make_leaf, nested_pxml, nested_xml, pxml_documents
 
 GENERIC = [DeepEqualRule(), LeafValueRule()]
 
@@ -141,6 +142,59 @@ class TestValueAlternatives:
         doc = PXDocument(certain_prob(PXElement("r", children=[certain_prob(movie)])))
         answer = assert_engines_agree(doc, "//m[y > 1980]/t")
         assert answer == {"Jaws": Fraction(2, 3)}
+
+
+def choice_of(prefix, count):
+    """A choice among ``count`` equally likely text values."""
+    return choice_prob(
+        [(Fraction(1, count), [PXText(f"{prefix}{i}")]) for i in range(count)]
+    )
+
+
+class TestValueCap:
+    def test_cap_raises_where_depth_first_merging_does(self):
+        """<r>'s first two children already give 40 x 40 values, more than
+        the cap, before the walk values the <p> below its third child
+        (which would exceed the cap too): the error names <r>."""
+        inner = PXElement("p", children=[choice_of("c", 40), choice_of("d", 40)])
+        root = PXElement(
+            "r", children=[choice_of("a", 40), choice_of("b", 40), certain_prob(inner)]
+        )
+        document = PXDocument(certain_prob(root))
+        with pytest.raises(QueryError, match="value of <r> has more than 1024"):
+            ProbQueryEngine(document, use_cache=False).query("//r")
+
+
+class TestDeepDocuments:
+    """The walk keeps its own stacks: the descendant axis and element
+    values answer at any depth (both raised RecursionError at a depth of
+    1,000)."""
+
+    def test_descendants_of_a_1000_deep_document(self):
+        document = parse_pxml(nested_pxml(1000))
+        assert ProbQueryEngine(document).query("//a").values() == []
+        assert ProbQueryEngine(document, use_cache=False).query("//a").values() == []
+
+    def test_values_of_1000_nested_elements(self):
+        depth = 1000
+        document = certain_document(
+            parse_document("<a>" * depth + "x" + "</a>" * depth)
+        )
+        answer = ProbQueryEngine(document).query("//a")
+        assert [(item.value, item.probability, item.occurrences) for item in answer] \
+            == [("x", Fraction(1), depth)]
+        assert ProbQueryEngine(document).query('//a[. = "x"]/a').values() == ["x"]
+
+    def test_stored_deep_documents_answer(self, tmp_path):
+        service = DataspaceService(directory=tmp_path / "store")
+        try:
+            service.load_document("deep", parse_pxml(nested_pxml(1000)))
+            service.load("tall", nested_xml(900))
+            assert service.query("deep", "//a").values() == []
+            assert service.query("tall", "//a").values() == []
+            assert service.aggregate("tall", "count", "a") == {900: Fraction(1)}
+        finally:
+            service.close()
 
 
 class TestUnsupportedFeatures:

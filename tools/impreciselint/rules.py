@@ -65,6 +65,7 @@ FLOAT_TAINT_SCOPE = (
     "repro/pxml/events.py",
     "repro/pxml/events_cache.py",
     "repro/pxml/events_compile.py",
+    "repro/pxml/simplify.py",
     "repro/feedback/conditioning.py",
     "repro/query/plan.py",
     "repro/query/aggregates.py",
@@ -379,11 +380,16 @@ def _check_method(
 # -- no-recursion -------------------------------------------------------------
 
 #: The worklist contract: these modules must stay recursion-free so deep
-#: documents cannot blow the interpreter stack — the pricing kernels and
-#: the document codec (XML parser and writers, PXML wire format).
+#: documents cannot blow the interpreter stack — the pricing kernels, the
+#: shared tree traversal and what runs on it (answer pass, aggregates,
+#: compaction), the certain wrapper, and the document codec (XML parser
+#: and writers, PXML wire format).
 NO_RECURSION_SCOPE = (
     "repro/pxml/events.py",
     "repro/pxml/events_compile.py",
+    "repro/pxml/treefold.py",
+    "repro/pxml/simplify.py",
+    "repro/pxml/build.py",
     "repro/query/aggregates.py",
     "repro/query/treepass.py",
     "repro/xmlkit/parser.py",
