@@ -2,39 +2,42 @@
 
 A user statement "this answer is correct" (or wrong) is an observation of
 the answer's *event* — a boolean formula over choice variables produced by
-the query engine.  Conditioning is exact:
+the query engine.  Conditioning is exact, and every observation takes the
+same path:
 
 1. Shannon-expand the event over the variables it mentions; every
    satisfying branch is a partial assignment with weight Π p(choice);
-2. for each branch, rebuild the document with the assigned choices forced
-   (probability 1, siblings dropped) — exact tree surgery, because the
-   remaining choices are independent of the observed ones;
-3. mix the branch documents with their posterior weights, and compact
-   the posterior with :func:`repro.pxml.simplify.simplify` — always, in
-   its one pass.
+2. mark the probability nodes whose subtree holds an event variable, and
+   follow the single marked child down from the root to the lowest node
+   that holds them all — the choices elsewhere are independent of the
+   observation, so they keep their prior;
+3. put the mixture of the branches there, each with its posterior
+   weight: a branch rebuilds only the marked nodes, forcing its assigned
+   choices (probability 1, siblings dropped), and shares every unmarked
+   subtree with the prior;
+4. compact with :func:`repro.pxml.simplify.simplify`.  Its one fold never
+   mutates its input and builds every node afresh, so it makes the
+   posterior's only copy: the shared subtrees never leave this module,
+   and the posterior's choice variables are all new.
 
-The cost is exponential only in the number of *variables the event
-mentions* (one answer's provenance), never in the document size.  The test
-suite verifies the result equals Bayes over enumerated worlds.
+A certain observation has one empty branch, so its posterior is the
+compacted prior.  The cost is exponential only in the number of
+*variables the event mentions* (one answer's provenance), never in the
+document size, and every step keeps an explicit stack, so document depth
+is bounded by memory.  The test suite verifies the result equals Bayes
+over enumerated worlds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from ..errors import FeedbackError
 from ..probability import ONE, ZERO
 from ..pxml.events import Event, FALSE_EVENT, TRUE_EVENT, negate, pivot_variable
 from ..pxml.events_cache import cache_for
-from ..pxml.model import (
-    PXDocument,
-    PXElement,
-    PXText,
-    Possibility,
-    ProbNode,
-)
+from ..pxml.model import PXDocument, PXElement, Possibility, ProbNode
 from ..pxml.simplify import simplify
 from ..pxml.stats import tree_stats
 from ..query.engine import ProbQueryEngine
@@ -43,35 +46,134 @@ from ..query.ranking import RankedAnswer
 #: Refuse Shannon expansions beyond this many satisfying branches.
 DEFAULT_BRANCH_LIMIT = 4096
 
+#: A satisfying branch: a partial assignment (uid → possibility index)
+#: and its weight Π p(assigned choice).
+_Branch = tuple[dict[int, int], Fraction]
 
-def _rebuild_prob(node: ProbNode, assignment: dict[int, int]) -> ProbNode:
-    """Copy of the subtree with assigned choices forced to probability 1."""
-    forced = assignment.get(node.uid)
-    rebuilt = ProbNode()
-    for index, possibility in enumerate(node.possibilities):
-        if forced is not None and index != forced:
+
+def _satisfying_branches(event: Event) -> list[_Branch]:
+    """Disjoint partial assignments over the event's variables that make it
+    true, in depth-first order of the expansion.  Weights sum to P(event)."""
+    branches: list[_Branch] = []
+    stack: list[tuple[Event, dict[int, int], Fraction]] = [(event, {}, ONE)]
+    while stack:
+        current, assignment, weight = stack.pop()
+        if current is TRUE_EVENT:
+            branches.append((assignment, weight))
+            if len(branches) > DEFAULT_BRANCH_LIMIT:
+                raise FeedbackError(
+                    f"conditioning needs more than {DEFAULT_BRANCH_LIMIT}"
+                    " branches; simplify the observation"
+                )
             continue
-        prob = ONE if forced is not None else possibility.prob
-        children = []
-        for child in possibility.children:
-            if isinstance(child, PXText):
-                children.append(PXText(child.value))
-            else:
-                children.append(_rebuild_element(child, assignment))
-        rebuilt.append(Possibility(prob, children))
-    if not rebuilt.possibilities:
-        raise FeedbackError(
-            f"assignment removed every possibility of ▽{node.uid}"
-        )
-    return rebuilt
+        if current is FALSE_EVENT:
+            continue
+        # Most-mentioned variable first (same rationale as the kernel's
+        # Shannon pivot): shared top-level choices collapse branches.
+        # The pivot reads the counts cached on the interned event — no
+        # per-step tree rescans.
+        uid, node = pivot_variable(current)
+        # Pushed last first, so the first possibility is expanded first.
+        for index in reversed(range(len(node.possibilities))):
+            prob = node.possibilities[index].prob
+            if prob != 0:
+                assigned = {**assignment, uid: index}
+                stack.append((current.assign(uid, index), assigned, weight * prob))
+    return branches
 
 
-def _rebuild_element(element: PXElement, assignment: dict[int, int]) -> PXElement:
-    return PXElement(
-        element.tag,
-        dict(element.attributes),
-        [_rebuild_prob(child, assignment) for child in element.children],
-    )
+def _marked(root: ProbNode, variables: frozenset[int]) -> set[int]:
+    """uids of the probability nodes whose subtree holds one of
+    ``variables``.  One pre-order walk; a variable's node marks itself
+    and its ancestors up to the first one already marked."""
+    marked: set[int] = set()
+    path: list[int] = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        del path[depth:]
+        path.append(node.uid)
+        if node.uid in variables:
+            for uid in reversed(path):
+                if uid in marked:
+                    break
+                marked.add(uid)
+        for possibility in node.possibilities:
+            for child in possibility.children:
+                if isinstance(child, PXElement):
+                    stack.extend((prob, depth + 1) for prob in child.children)
+    return marked
+
+
+def _posterior(
+    document: PXDocument, variables: frozenset[int], branches: list[_Branch]
+) -> PXDocument:
+    """The posterior mixture of ``branches`` (the satisfying branches of
+    an event over ``variables``), before compaction.
+
+    The mixture goes at the lowest probability node that holds every
+    variable.  Descending past a choice that is not a variable is sound
+    because guarded events mention the choices that make their variables
+    reachable: if a node's uid is not in the event, the event is
+    independent of it.  Only marked nodes are rebuilt; the result shares
+    every other subtree with ``document`` (and, across branches, with
+    itself), so only :func:`simplify` may read it."""
+    total = sum((weight for _, weight in branches), ZERO)
+    if total == 0:
+        raise FeedbackError("observation has probability zero")
+    marked = _marked(document.root, variables)
+    stop = document.root
+    while stop.uid not in variables:
+        below = [
+            prob
+            for possibility in stop.possibilities
+            for child in possibility.children
+            if isinstance(child, PXElement)
+            for prob in child.children
+            if prob.uid in marked
+        ]
+        if len(below) != 1:
+            break
+        (stop,) = below
+    root = ProbNode()
+    stack: list[tuple[ProbNode, ProbNode, dict[int, int]]] = [
+        (document.root, root, {})
+    ]
+    while stack:
+        source, copy, inherited = stack.pop()
+        if source is stop:
+            # impreciselint: disable=float-taint -- exact Fraction/Fraction division
+            mixture = [(assigned, weight / total) for assigned, weight in branches]
+        else:
+            mixture = [(inherited, ONE)]
+        for assignment, scale in mixture:
+            forced = assignment.get(source.uid)
+            for index, possibility in enumerate(source.possibilities):
+                if forced is not None and index != forced:
+                    continue
+                kept = Possibility(
+                    scale if forced is not None else scale * possibility.prob
+                )
+                for child in possibility.children:
+                    if isinstance(child, PXElement) and any(
+                        prob.uid in marked for prob in child.children
+                    ):
+                        element = PXElement(child.tag, child.attributes)
+                        for prob in child.children:
+                            if prob.uid not in marked:
+                                element.children.append(prob)  # shared
+                                continue
+                            rebuilt = ProbNode()
+                            element.children.append(rebuilt)
+                            stack.append((prob, rebuilt, assignment))
+                        child = element
+                    kept.children.append(child)  # text and unmarked: shared
+                copy.possibilities.append(kept)
+        if not copy.possibilities:
+            raise FeedbackError(
+                f"assignment removed every possibility of ▽{source.uid}"
+            )
+    return PXDocument(root)
 
 
 def condition_on_assignment(
@@ -80,179 +182,38 @@ def condition_on_assignment(
     """Condition on a conjunction of choices (uid → possibility index).
 
     Exact tree surgery: observed nodes keep only the observed possibility
-    (probability 1); everything else is untouched — valid because choices
-    at different probability nodes are independent.
+    (probability 1); everything else keeps its prior — valid because
+    choices at different probability nodes are independent.  The
+    posterior is compacted, like :func:`condition_on_event`'s.
     """
-    return PXDocument(_rebuild_prob(document.root, assignment))
-
-
-def _satisfying_branches(
-    event: Event, *, limit: int
-) -> list[tuple[dict[int, int], Fraction]]:
-    """Disjoint partial assignments over the event's variables that make it
-    true, each with weight Π p(assigned choice).  Weights sum to P(event)."""
-    branches: list[tuple[dict[int, int], Fraction]] = []
-
-    def expand(current: Event, assignment: dict[int, int], weight: Fraction) -> None:
-        if current is TRUE_EVENT:
-            branches.append((dict(assignment), weight))
-            if len(branches) > limit:
-                raise FeedbackError(
-                    f"conditioning needs more than {limit} branches;"
-                    " raise the limit or simplify the observation"
-                )
-            return
-        if current is FALSE_EVENT:
-            return
-        # Most-mentioned variable first (same rationale as the kernel's
-        # Shannon pivot): shared top-level choices collapse branches.
-        # The pivot reads the counts cached on the interned event — no
-        # per-step tree rescans.
-        uid, node = pivot_variable(current)
-        for index, possibility in enumerate(node.possibilities):
-            if possibility.prob == 0:
-                continue
-            assignment[uid] = index
-            expand(current.assign(uid, index), assignment, weight * possibility.prob)
-            del assignment[uid]
-
-    expand(event, {}, ONE)
-    return branches
-
-
-def _uids_under(node: ProbNode) -> set[int]:
-    return {prob.uid for prob in node.iter_prob_nodes()}
-
-
-def _immediate_child_probs(node: ProbNode) -> list[ProbNode]:
-    children: list[ProbNode] = []
-    for possibility in node.possibilities:
-        for child in possibility.children:
-            if isinstance(child, PXElement):
-                children.extend(child.children)
-    return children
-
-
-def _mixture_at(
-    node: ProbNode,
-    branches: list[tuple[dict[int, int], Fraction]],
-    total: Fraction,
-) -> ProbNode:
-    """Replace ``node`` by the posterior mixture over satisfying branches
-    (every event variable lives in this subtree, so the rest of the
-    document keeps its prior — choices are independent)."""
-    mixture = ProbNode()
-    for assignment, weight in branches:
-        forced = _rebuild_prob(node, assignment)
-        # impreciselint: disable=float-taint -- exact Fraction/Fraction division
-        posterior = weight / total
-        for possibility in forced.possibilities:
-            mixture.append(
-                Possibility(posterior * possibility.prob, possibility.children)
-            )
-    return mixture
-
-
-def _rebuild_conditioned(
-    node: ProbNode,
-    var_uids: set[int],
-    branches: list[tuple[dict[int, int], Fraction]],
-    total: Fraction,
-) -> ProbNode:
-    """Copy the tree, descending towards the minimal probability node that
-    contains every event variable, and splice the mixture there.
-
-    Descending past an unrelated choice point is sound because guarded
-    events mention the choices that make their variables reachable: if
-    this node's uid is not in the event, the event is independent of it.
-    """
-    present = _uids_under(node) & var_uids
-    if not present:
-        return node.copy()
-    if node.uid not in var_uids:
-        carriers = [
-            child
-            for child in _immediate_child_probs(node)
-            if _uids_under(child) & var_uids
-        ]
-        if len(carriers) == 1 and (_uids_under(carriers[0]) & var_uids) == present:
-            target = carriers[0]
-            rebuilt = ProbNode()
-            for possibility in node.possibilities:
-                children = []
-                for child in possibility.children:
-                    if isinstance(child, PXText):
-                        children.append(PXText(child.value))
-                    else:
-                        children.append(
-                            _rebuild_element_conditioned(
-                                child, target, var_uids, branches, total
-                            )
-                        )
-                rebuilt.append(Possibility(possibility.prob, children))
-            return rebuilt
-    return _mixture_at(node, branches, total)
-
-
-def _rebuild_element_conditioned(
-    element: PXElement,
-    target: ProbNode,
-    var_uids: set[int],
-    branches: list[tuple[dict[int, int], Fraction]],
-    total: Fraction,
-) -> PXElement:
-    children = []
-    for child in element.children:
-        if child is target:
-            children.append(
-                _rebuild_conditioned(child, var_uids, branches, total)
-            )
-        elif _uids_under(child) & var_uids:
-            children.append(_rebuild_conditioned(child, var_uids, branches, total))
-        else:
-            children.append(child.copy())
-    return PXElement(element.tag, dict(element.attributes), children)
+    posterior = _posterior(document, frozenset(assignment), [(assignment, ONE)])
+    compacted, _ = simplify(posterior)
+    return compacted
 
 
 def condition_on_event(
-    document: PXDocument,
-    event: Event,
-    *,
-    observed: bool = True,
-    branch_limit: int = DEFAULT_BRANCH_LIMIT,
+    document: PXDocument, event: Event, *, observed: bool = True
 ) -> PXDocument:
-    """The document's posterior given that ``event`` was observed true
-    (or false, with ``observed=False``).
+    """The compacted posterior of ``document`` given that ``event`` was
+    observed true (or false, with ``observed=False``).
 
     The posterior mixture is spliced in at the *minimal* probability node
     whose subtree holds all of the event's variables, so conditioning
-    leaves unrelated parts of the document untouched (and compact).
-    Raises :class:`FeedbackError` when the observation has probability
-    zero — there is no posterior to form.
+    leaves unrelated parts of the document with their prior.  Raises
+    :class:`FeedbackError` when the observation has probability zero —
+    there is no posterior to form — or needs more than
+    :data:`DEFAULT_BRANCH_LIMIT` satisfying branches.
     """
     target = event if observed else negate(event)
     if target is FALSE_EVENT:
         raise FeedbackError("cannot condition on an impossible observation")
-    if target is TRUE_EVENT:
-        return document.copy()
-
-    branches = _satisfying_branches(target, limit=branch_limit)
-    total = sum((weight for _, weight in branches), ZERO)
-    if total == 0:
-        raise FeedbackError("observation has probability zero")
-
-    if len(branches) == 1:
-        assignment, _ = branches[0]
-        conditioned = condition_on_assignment(document, assignment)
-    else:
-        var_uids = set(target.variables())
-        conditioned = PXDocument(
-            _rebuild_conditioned(document.root, var_uids, branches, total)
-        )
-    # Conditioning is functional: the posterior is built from copies with
-    # fresh uids, so the input document's cache stays valid — no
-    # invalidation needed (see repro.pxml.events_cache).
-    compacted, _ = simplify(conditioned)
+    posterior = _posterior(
+        document, target.variables(), _satisfying_branches(target)
+    )
+    # Conditioning is functional: compaction builds the posterior from
+    # fresh nodes with fresh uids, so the input document's cache stays
+    # valid — no invalidation needed (see repro.pxml.events_cache).
+    compacted, _ = simplify(posterior)
     return compacted
 
 

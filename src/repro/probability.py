@@ -38,6 +38,14 @@ def as_probability(value: ProbLike, *, allow_zero: bool = True) -> Fraction:
     >>> as_probability(0.5)
     Fraction(1, 2)
     """
+    if type(value) is Fraction:
+        # The common case: every Possibility checks its probability.  A
+        # Fraction's denominator is positive, so comparing its integers
+        # decides; anything refused falls through to the checks below,
+        # which name the fault.
+        numerator = value.numerator
+        if 0 < numerator <= value.denominator or (numerator == 0 and allow_zero):
+            return value
     if isinstance(value, Fraction):
         prob = value
     elif isinstance(value, bool):

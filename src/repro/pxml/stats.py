@@ -9,13 +9,13 @@ exponentially in the number of independent choices and therefore
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
-from ..probability import ONE
+from ..probability import ONE, ZERO
 from .model import PXDocument, PXElement, PXText, Possibility, ProbNode
-from .worlds import world_count
 
 AnyPX = Union[PXDocument, ProbNode, Possibility, PXElement, PXText]
 
@@ -63,34 +63,9 @@ def node_count(node: AnyPX) -> int:
     return node.node_count()
 
 
-def _census(node: AnyPX, counts: list[int]) -> None:
-    # counts = [prob, poss, elem, text, choice_points, max_branching]
-    if isinstance(node, PXDocument):
-        _census(node.root, counts)
-    elif isinstance(node, ProbNode):
-        counts[0] += 1
-        branching = len(node.possibilities)
-        if branching > 1:
-            counts[4] += 1
-        counts[5] = max(counts[5], branching)
-        for possibility in node.possibilities:
-            _census(possibility, counts)
-    elif isinstance(node, Possibility):
-        counts[1] += 1
-        for child in node.children:
-            _census(child, counts)
-    elif isinstance(node, PXElement):
-        counts[2] += 1
-        for child in node.children:
-            _census(child, counts)
-    elif isinstance(node, PXText):
-        counts[3] += 1
-    else:
-        raise TypeError(f"cannot census {type(node).__name__}")
-
-
 def tree_stats(node: AnyPX) -> NodeStats:
-    """Full census of a probabilistic tree.
+    """Full census of a probabilistic tree, world count included, in one
+    pass with an explicit stack (document depth is bounded by memory).
 
     >>> from repro.pxml import certain_document
     >>> from repro.xmlkit import parse_document
@@ -98,42 +73,88 @@ def tree_stats(node: AnyPX) -> NodeStats:
     >>> (stats.total, stats.world_count)
     (9, 1)
     """
-    counts = [0, 0, 0, 0, 0, 0]
-    _census(node, counts)
-    worlds = world_count(node if not isinstance(node, Possibility) else node)
+    probs = possibilities = elements = texts = choice_points = max_branching = 0
+    order: list[ProbNode] = []
+    stack: list[AnyPX] = [node.root if isinstance(node, PXDocument) else node]
+    while stack:
+        current = stack.pop()
+        # Only the input itself can be something other than a probability
+        # node: below it, possibilities and regular nodes are counted
+        # where their probability node is.
+        options: Sequence[Possibility] = ()
+        if isinstance(current, ProbNode):
+            order.append(current)
+            options = current.possibilities
+            probs += 1
+            if len(options) > 1:
+                choice_points += 1
+            max_branching = max(max_branching, len(options))
+        elif isinstance(current, Possibility):
+            options = (current,)
+        elif isinstance(current, PXElement):
+            elements += 1
+            stack.extend(current.children)
+        elif isinstance(current, PXText):
+            texts += 1
+        else:
+            raise TypeError(f"cannot census {type(current).__name__}")
+        possibilities += len(options)
+        for possibility in options:
+            for child in possibility.children:
+                if isinstance(child, PXElement):
+                    elements += 1
+                    stack.extend(child.children)
+                else:
+                    texts += 1
+    # Every probability node was visited before its descendants, so in
+    # reverse it finds the world counts of the probability nodes one
+    # element below it on top of ``worlds``, its last possibility's
+    # last; it sums over its possibilities the product of theirs.  What
+    # is left belongs to the input's topmost probability nodes.
+    worlds: list[int] = []
+    for prob in reversed(order):
+        total = 0
+        for possibility in reversed(prob.possibilities):
+            product = 1
+            for child in possibility.children:
+                if isinstance(child, PXElement):
+                    for _ in child.children:
+                        product *= worlds.pop()
+            total += product
+        worlds.append(total)
     return NodeStats(
-        probability_nodes=counts[0],
-        possibility_nodes=counts[1],
-        element_nodes=counts[2],
-        text_nodes=counts[3],
-        choice_points=counts[4],
-        max_branching=counts[5],
-        world_count=worlds,
+        probability_nodes=probs,
+        possibility_nodes=possibilities,
+        element_nodes=elements,
+        text_nodes=texts,
+        choice_points=choice_points,
+        max_branching=max_branching,
+        world_count=math.prod(worlds),
     )
 
 
 def expected_world_size(node: AnyPX) -> Fraction:
     """Expected number of plain-XML nodes of a random world.
 
-    Computed bottom-up in one pass: E[size of a probability node's
-    expansion] = Σᵢ pᵢ · E[size of possibility i], elements add 1 plus the
-    sum of their children's expectations.
+    Each regular node counts with the probability that a world keeps it:
+    the product of the possibilities on its path.  One top-down pass
+    with an explicit stack carries that product to every node.
     """
-    if isinstance(node, PXDocument):
-        return expected_world_size(node.root)
-    if isinstance(node, PXText):
-        return Fraction(1)
-    if isinstance(node, PXElement):
-        return Fraction(1) + sum(
-            (expected_world_size(child) for child in node.children), Fraction(0)
-        )
-    if isinstance(node, Possibility):
-        return sum(
-            (expected_world_size(child) for child in node.children), Fraction(0)
-        )
-    if isinstance(node, ProbNode):
-        return sum(
-            (p.prob * expected_world_size(p) for p in node.possibilities),
-            Fraction(0),
-        )
-    raise TypeError(f"cannot size {type(node).__name__}")
+    total = ZERO
+    stack: list[tuple[AnyPX, Fraction]] = [
+        (node.root if isinstance(node, PXDocument) else node, ONE)
+    ]
+    while stack:
+        current, reach = stack.pop()
+        if isinstance(current, ProbNode):
+            stack.extend((p, reach * p.prob) for p in current.possibilities)
+        elif isinstance(current, Possibility):
+            stack.extend((child, reach) for child in current.children)
+        elif isinstance(current, PXElement):
+            total += reach
+            stack.extend((child, reach) for child in current.children)
+        elif isinstance(current, PXText):
+            total += reach
+        else:
+            raise TypeError(f"cannot size {type(current).__name__}")
+    return total

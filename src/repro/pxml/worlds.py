@@ -19,6 +19,7 @@ from ..errors import ExplosionError
 from ..probability import ONE
 from ..xmlkit.nodes import XChild, XDocument, XElement, XText, canonical_key
 from .model import PXChild, PXDocument, PXElement, PXText, ProbNode
+from .stats import tree_stats
 
 DEFAULT_WORLD_LIMIT = 200_000
 
@@ -34,27 +35,11 @@ class World:
 def world_count(node: Union[PXDocument, ProbNode, PXElement, PXText]) -> int:
     """Exact number of (choice) worlds — a big integer, never enumerated.
 
-    Computed bottom-up: a probability node sums over its possibilities, a
-    possibility/element multiplies over its children.
+    Read from :func:`repro.pxml.stats.tree_stats`'s one pass: a
+    probability node sums over its possibilities, a possibility/element
+    multiplies over its children.
     """
-    if isinstance(node, PXDocument):
-        return world_count(node.root)
-    if isinstance(node, PXText):
-        return 1
-    if isinstance(node, PXElement):
-        result = 1
-        for child in node.children:
-            result *= world_count(child)
-        return result
-    if isinstance(node, ProbNode):
-        total = 0
-        for possibility in node.possibilities:
-            branch = 1
-            for child in possibility.children:
-                branch *= world_count(child)
-            total += branch
-        return total
-    raise TypeError(f"cannot count worlds of {type(node).__name__}")
+    return tree_stats(node).world_count
 
 
 def _expand_element(

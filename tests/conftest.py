@@ -151,6 +151,37 @@ def nested_pxml(depth: int) -> str:
     )
 
 
+def leaf_choice_pxml(depth: int) -> str:
+    """Compact PXML text of ``depth`` nested certain ``<a>`` elements
+    around a leaf ``<b>`` whose text is x or y at 1/2 each."""
+    certain = '<p:prob><p:poss prob="1">'
+    leaf = (
+        '<b><p:prob><p:poss prob="1/2">x</p:poss>'
+        '<p:poss prob="1/2">y</p:poss></p:prob></b>'
+    )
+    return (
+        (certain + "<a>") * depth
+        + certain + leaf + "</p:poss></p:prob>"
+        + "</a></p:poss></p:prob>" * depth
+    )
+
+
+def choice_chain_pxml(depth: int) -> str:
+    """Compact PXML text of ``<r>`` over ``depth`` nested choices, each
+    between an ``<a>`` that holds the next (1/2) and nothing (1/2); the
+    innermost ``<a>`` holds ``<b>x</b>``, so the event of x under ``//b``
+    is a conjunction of ``depth`` literals."""
+    certain = '<p:prob><p:poss prob="1">'
+    half = '<p:poss prob="1/2">'
+    return (
+        certain + "<r>"
+        + ("<p:prob>" + half + "<a>") * depth
+        + certain + "<b>" + certain + "x</p:poss></p:prob></b></p:poss></p:prob>"
+        + ("</a></p:poss>" + half + "</p:poss></p:prob>") * depth
+        + "</r></p:poss></p:prob>"
+    )
+
+
 # -- fixtures ---------------------------------------------------------------------
 
 @pytest.fixture

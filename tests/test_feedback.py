@@ -8,17 +8,22 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.engine import integrate
 from repro.core.rules import DeepEqualRule, LeafValueRule
 from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
+from repro.dbms.service import DataspaceService
 from repro.errors import FeedbackError
 from repro.feedback.conditioning import (
+    DEFAULT_BRANCH_LIMIT,
     FeedbackSession,
     condition_on_assignment,
     condition_on_event,
 )
-from repro.pxml.events import event_probability
+from repro.pxml.build import certain_prob, choice_prob
+from repro.pxml.events import all_of, any_of, event_probability, lit
+from repro.pxml.model import PXDocument, PXElement, PXText
+from repro.pxml.serialize import parse_pxml
 from repro.pxml.worlds import distinct_worlds, world_count
 from repro.query.engine import ProbQueryEngine
 from repro.xmlkit.nodes import canonical_key
-from .conftest import pxml_documents
+from .conftest import choice_chain_pxml, leaf_choice_pxml, pxml_documents
 
 GENERIC = [DeepEqualRule(), LeafValueRule()]
 
@@ -86,6 +91,23 @@ class TestConditionOnEvent:
         from repro.pxml.events import TRUE_EVENT
         conditioned = condition_on_event(figure2, TRUE_EVENT, observed=True)
         assert distribution(conditioned) == distribution(figure2)
+
+    def test_branch_limit(self):
+        """Thirteen three-way choices, each observed to take one of its
+        first two options: 2**13 satisfying branches, past the limit."""
+        third = Fraction(1, 3)
+        choices = [
+            choice_prob([(third, [PXText(str(i))]) for i in range(3)])
+            for _ in range(13)
+        ]
+        document = PXDocument(certain_prob(PXElement("r", children=choices)))
+        event = all_of(any_of([lit(node, 0), lit(node, 1)]) for node in choices)
+        with pytest.raises(FeedbackError) as caught:
+            condition_on_event(document, event)
+        assert str(caught.value) == (
+            f"conditioning needs more than {DEFAULT_BRANCH_LIMIT} branches;"
+            " simplify the observation"
+        )
 
     def test_event_probability_is_preserved_inside(self, figure2):
         # P(E) computed via events equals the world mass that survives.
@@ -179,3 +201,39 @@ class TestPropertyBayes:
         assert distribution(conditioned) == bayes_reference(
             document, self.QUERY, value, True
         )
+
+
+class TestDeepDocuments:
+    """Feedback and the census on stored documents deeper than the
+    interpreter stack; both raised a raw ``RecursionError``."""
+
+    def test_1000_deep_chain_with_an_uncertain_leaf(self):
+        service = DataspaceService()
+        service.load_document("deep", parse_pxml(leaf_choice_pxml(1000)))
+        service.load_document("other", parse_pxml(leaf_choice_pxml(1000)))
+        before = service.stats("deep")
+        assert (before.element_nodes, before.choice_points) == (1001, 1)
+        assert before.world_count == 2
+        step = service.feedback("deep", "//b", "x")
+        assert step.prior == Fraction(1, 2)
+        assert (step.worlds_before, step.worlds_after) == (2, 1)
+        after = service.stats("deep")
+        assert (after.total, after.world_count) == (step.nodes_after, 1)
+        assert service.query("deep", "//b").values() == ["x"]
+        step = service.feedback("other", "//b", "x", correct=False)
+        assert step.prior == Fraction(1, 2)
+        assert service.query("other", "//b").values() == ["y"]
+
+    def test_1200_deep_chain_of_choices(self):
+        """The event of x is a 1,200-literal conjunction, so the Shannon
+        expansion must not recurse either."""
+        service = DataspaceService()
+        service.load_document("chain", parse_pxml(choice_chain_pxml(1200)))
+        before = service.stats("chain")
+        assert (before.choice_points, before.world_count) == (1200, 1201)
+        step = service.feedback("chain", "//b", "x")
+        assert step.prior == Fraction(1, 2**1200)
+        assert (step.worlds_before, step.worlds_after) == (1201, 1)
+        after = service.stats("chain")
+        assert (after.choice_points, after.element_nodes) == (0, 1202)
+        assert service.query("chain", "//b").values() == ["x"]

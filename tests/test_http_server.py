@@ -39,7 +39,7 @@ from repro.server.client import DataspaceClient, ServerError
 from repro.server.http import BackgroundServer
 from repro.xmlkit.serializer import serialize
 
-from .conftest import nested_pxml, nested_xml
+from .conftest import choice_chain_pxml, leaf_choice_pxml, nested_pxml, nested_xml
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -173,6 +173,21 @@ class TestEndpoints:
         assert stored == {"stored": "deeper", "kind": "pxml"}
         assert client.query("deeper", "//a").values() == []
         assert client.aggregate("deeper", "count", "a") == {1000: Fraction(1)}
+        # Feedback and the census on deep documents (both were a 500).
+        client.load("leafy", leaf_choice_pxml(1000), kind="pxml")
+        assert client.document_stats("leafy")["world_count"] == 2
+        step = client.feedback("leafy", "//b", "x")
+        assert step["prior"] == Fraction(1, 2)
+        assert (step["worlds_before"], step["worlds_after"]) == (2, 1)
+        assert client.document_stats("leafy")["world_count"] == 1
+        assert client.query("leafy", "//b").values() == ["x"]
+        client.load("chain", choice_chain_pxml(1200), kind="pxml")
+        stats = client.document_stats("chain")
+        assert (stats["choice_points"], stats["world_count"]) == (1200, 1201)
+        step = client.feedback("chain", "//b", "x")
+        assert step["prior"] == Fraction(1, 2**1200)
+        assert (step["worlds_before"], step["worlds_after"]) == (1201, 1)
+        assert client.document_stats("chain")["choice_points"] == 0
 
     def test_persistent_hits_over_http(self, live):
         client, _, _ = live

@@ -341,7 +341,13 @@ class TestNoRecursion:
 
     @pytest.mark.parametrize(
         "module",
-        ["repro/pxml/treefold.py", "repro/pxml/simplify.py", "repro/pxml/build.py"],
+        [
+            "repro/pxml/treefold.py",
+            "repro/pxml/simplify.py",
+            "repro/pxml/build.py",
+            "repro/pxml/stats.py",
+            "repro/feedback/conditioning.py",
+        ],
     )
     def test_seeded_mutation_of_real_tree_module(self, tmp_path, module):
         source = (SRC / module).read_text(encoding="utf-8")

@@ -57,6 +57,32 @@ class TestAsProbability:
         with pytest.raises(ProbabilityError):
             as_probability(object())
 
+    def test_exact_fraction_is_returned_as_is(self):
+        value = Fraction(2, 7)
+        assert as_probability(value) is value
+        assert as_probability(Fraction(0)) == 0
+        assert as_probability(Fraction(1), allow_zero=False) == 1
+
+    @pytest.mark.parametrize("value", [Fraction(-1, 3), Fraction(4, 3)])
+    def test_exact_fraction_outside_the_unit_interval(self, value):
+        with pytest.raises(ProbabilityError, match=r"outside \[0, 1\]"):
+            as_probability(value)
+
+    def test_exact_fraction_zero_when_disallowed(self):
+        with pytest.raises(ProbabilityError, match="strictly positive"):
+            as_probability(Fraction(0), allow_zero=False)
+
+    def test_fraction_subclass(self):
+        class Odds(Fraction):
+            pass
+
+        value = Odds(1, 3)
+        assert as_probability(value) is value
+        with pytest.raises(ProbabilityError, match=r"outside \[0, 1\]"):
+            as_probability(Odds(4, 3))
+        with pytest.raises(ProbabilityError, match="strictly positive"):
+            as_probability(Odds(0), allow_zero=False)
+
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=10**6))
     def test_any_valid_fraction_roundtrips(self, numerator, denominator):
         if numerator <= denominator:

@@ -5,11 +5,12 @@ from fractions import Fraction
 from hypothesis import given
 
 from repro.pxml.build import certain_document, certain_prob, choice_prob
-from repro.pxml.model import PXDocument, PXElement, PXText
+from repro.pxml.model import PXDocument, PXElement, PXText, Possibility
+from repro.pxml.serialize import parse_pxml
 from repro.pxml.stats import expected_world_size, node_count, tree_stats
 from repro.pxml.worlds import iter_worlds, world_count
 from repro.xmlkit.nodes import XDocument, element
-from .conftest import make_leaf, pxml_documents
+from .conftest import choice_chain_pxml, make_leaf, nested_pxml, pxml_documents
 
 
 class TestTreeStats:
@@ -42,6 +43,32 @@ class TestTreeStats:
         assert stats.total == node_count(doc)
         assert stats.world_count == world_count(doc)
 
+    def test_census_of_each_node_kind(self):
+        """A census can start at any node; its world count is the
+        product over what it holds.  ``r`` holds one choice twice, and
+        each place counts, as if it held two copies."""
+        node = choice_prob([("1/3", [PXText("x")]), ("2/3", [make_leaf("a", "y")])])
+        element = PXElement("r", children=[node, node])
+        possibility = Possibility(1, [element, PXText("t")])
+        counts = [
+            (stats.probability_nodes, stats.possibility_nodes,
+             stats.element_nodes, stats.text_nodes, stats.world_count)
+            for stats in map(tree_stats, (node, element, possibility, PXText("t")))
+        ]
+        assert counts == [
+            (2, 3, 1, 2, 2),
+            (4, 6, 3, 4, 4),
+            (4, 7, 3, 5, 4),
+            (0, 0, 0, 1, 1),
+        ]
+        assert world_count(element) == 4
+
+    def test_deep_documents(self):
+        stats = tree_stats(parse_pxml(nested_pxml(5000)))
+        assert (stats.total, stats.world_count) == (15000, 1)
+        stats = tree_stats(parse_pxml(choice_chain_pxml(1500)))
+        assert (stats.choice_points, stats.world_count) == (1500, 1501)
+
     def test_summary_mentions_worlds(self):
         doc = certain_document(XDocument(element("a")))
         assert "worlds" in tree_stats(doc).summary()
@@ -59,6 +86,13 @@ class TestExpectedWorldSize:
         doc = PXDocument(certain_prob(PXElement("r", children=[node])))
         # world sizes: r+a+text = 3 w.p. 1/2 ; r alone = 1 w.p. 1/2.
         assert expected_world_size(doc) == 2
+
+    def test_deep_documents(self):
+        assert expected_world_size(parse_pxml(nested_pxml(5000))) == 5000
+        # <r>, the k-th <a> with probability 2**-k, <b> and its text
+        # with probability 2**-1500.
+        chain = parse_pxml(choice_chain_pxml(1500))
+        assert expected_world_size(chain) == 2 + Fraction(1, 2**1500)
 
     @given(pxml_documents())
     def test_matches_enumeration(self, doc):

@@ -23,13 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.feedback.conditioning import (
-    DEFAULT_BRANCH_LIMIT,
-    _rebuild_conditioned,
+    _posterior,
     _satisfying_branches,
-    condition_on_assignment,
     condition_on_event,
 )
-from repro.probability import ZERO
 from repro.pxml.build import certain_prob, choice_prob
 from repro.pxml.events import negate
 from repro.pxml.model import PXDocument, PXElement, PXText
@@ -99,17 +96,10 @@ def uncompacted_posterior(document, event, observed):
     """What ``condition_on_event`` hands to compaction, or ``None`` when
     the observation is impossible (rejecting a certain value)."""
     target = event if observed else negate(event)
-    branches = _satisfying_branches(target, limit=DEFAULT_BRANCH_LIMIT)
+    branches = _satisfying_branches(target)
     if not branches:
         return None
-    if len(branches) == 1:
-        return condition_on_assignment(document, branches[0][0])
-    total = sum((weight for _, weight in branches), ZERO)
-    return PXDocument(
-        _rebuild_conditioned(
-            document.root, set(target.variables()), branches, total
-        )
-    )
+    return _posterior(document, target.variables(), branches)
 
 
 class TestRandomDocuments:

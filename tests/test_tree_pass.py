@@ -31,6 +31,7 @@ from repro.pxml.build import certain_document, certain_prob, choice_prob
 from repro.pxml.model import PXDocument, PXElement, PXText
 from repro.query.engine import QueryEngine, query_enumeration
 from repro.query.plan import compile_plan
+from repro.query.treepass import MAX_VALUE_ALTERNATIVES
 from repro.xmlkit.parser import parse_document
 from .conftest import pxml_documents
 
@@ -87,9 +88,19 @@ def priced_by_pass(engine, query):
 
 def assert_agrees(document, query):
     """The cached engine's answer against the walk + kernel and against
-    enumeration; returns the cached engine."""
+    enumeration; returns the cached engine.  A document beyond the value
+    cap must be refused by both engines with the same message, and then
+    enumeration is not asked."""
     engine = QueryEngine(document)
-    answer = engine.query(query)
+    try:
+        answer = engine.query(query)
+    except QueryError as refusal:
+        if f"more than {MAX_VALUE_ALTERNATIVES} realisations" not in str(refusal):
+            raise
+        with pytest.raises(QueryError) as caught:
+            QueryEngine(document, use_cache=False).query(query)
+        assert str(caught.value) == str(refusal), query
+        return engine
     assert snapshot(answer) == snapshot(
         QueryEngine(document, use_cache=False).query(query)
     ), query
@@ -206,6 +217,24 @@ class TestDifferential:
     def test_random_documents(self, document):
         for query in RANDOM_PLANS:
             assert_agrees(document, query)
+
+    def test_documents_beyond_the_value_cap_are_refused_alike(self):
+        """An <a> over eleven independent 1/2 choices has 2,048 string
+        values, more than the cap: both engines refuse every plan that
+        values it, with the same message."""
+        half = Fraction(1, 2)
+        bits = [
+            choice_prob([(half, [PXText("0")]), (half, [PXText("1")])])
+            for _ in range(11)
+        ]
+        a = PXElement("a", children=bits)
+        document = PXDocument(
+            certain_prob(PXElement("r", children=[certain_prob(a)]))
+        )
+        for query in RANDOM_PLANS:
+            assert_agrees(document, query)
+        with pytest.raises(QueryError, match="realisations"):
+            QueryEngine(document).query("//a")
 
     def test_merged_book_matches_the_walk(self):
         document = merged_book(3)

@@ -382,14 +382,16 @@ def _check_method(
 #: The worklist contract: these modules must stay recursion-free so deep
 #: documents cannot blow the interpreter stack — the pricing kernels, the
 #: shared tree traversal and what runs on it (answer pass, aggregates,
-#: compaction), the certain wrapper, and the document codec (XML parser
-#: and writers, PXML wire format).
+#: compaction), the certain wrapper, the census, feedback conditioning,
+#: and the document codec (XML parser and writers, PXML wire format).
 NO_RECURSION_SCOPE = (
     "repro/pxml/events.py",
     "repro/pxml/events_compile.py",
     "repro/pxml/treefold.py",
     "repro/pxml/simplify.py",
     "repro/pxml/build.py",
+    "repro/pxml/stats.py",
+    "repro/feedback/conditioning.py",
     "repro/query/aggregates.py",
     "repro/query/treepass.py",
     "repro/xmlkit/parser.py",
