@@ -26,7 +26,7 @@ from typing import Optional
 
 from ..errors import IntegrationError
 from ..pxml.build import certain_element
-from ..pxml.worlds import world_count
+from ..pxml.stats import tree_stats
 from ..xmlkit.nodes import XDocument, XElement, XText
 from .engine import (
     IntegrationConfig,
@@ -86,8 +86,8 @@ class _Estimator:
         return certain_element(element).node_count()
 
     def merged_pair_size(self, a: XElement, b: XElement) -> tuple[int, int]:
-        merged = self._integrator.merge_pair(a, b)
-        return merged.node_count(), world_count(merged)
+        stats = tree_stats(self._integrator.merge_pair(a, b))
+        return stats.total, stats.world_count
 
     # -- element level ------------------------------------------------------
 

@@ -74,11 +74,15 @@ def _satisfying_branches(event: Event) -> list[_Branch]:
         # per-step tree rescans.
         uid, node = pivot_variable(current)
         # Pushed last first, so the first possibility is expanded first.
+        # Only live branches are pushed: a conjunction keeps one entry,
+        # and one assignment, on the stack.
         for index in reversed(range(len(node.possibilities))):
             prob = node.possibilities[index].prob
             if prob != 0:
-                assigned = {**assignment, uid: index}
-                stack.append((current.assign(uid, index), assigned, weight * prob))
+                branch = current.assign(uid, index)
+                if branch is not FALSE_EVENT:
+                    assigned = {**assignment, uid: index}
+                    stack.append((branch, assigned, weight * prob))
     return branches
 
 

@@ -38,14 +38,6 @@ def as_probability(value: ProbLike, *, allow_zero: bool = True) -> Fraction:
     >>> as_probability(0.5)
     Fraction(1, 2)
     """
-    if type(value) is Fraction:
-        # The common case: every Possibility checks its probability.  A
-        # Fraction's denominator is positive, so comparing its integers
-        # decides; anything refused falls through to the checks below,
-        # which name the fault.
-        numerator = value.numerator
-        if 0 < numerator <= value.denominator or (numerator == 0 and allow_zero):
-            return value
     if isinstance(value, Fraction):
         prob = value
     elif isinstance(value, bool):
@@ -65,9 +57,12 @@ def as_probability(value: ProbLike, *, allow_zero: bool = True) -> Fraction:
     else:
         raise ProbabilityError(f"cannot interpret {value!r} as a probability")
 
-    if prob < 0 or prob > 1:
+    # A Fraction's denominator is positive, so its integers decide the
+    # range without Fraction comparisons (every Possibility pays this).
+    numerator = prob.numerator
+    if numerator < 0 or numerator > prob.denominator:
         raise ProbabilityError(f"probability {prob} outside [0, 1]")
-    if prob == 0 and not allow_zero:
+    if numerator == 0 and not allow_zero:
         raise ProbabilityError("probability must be strictly positive")
     return prob
 

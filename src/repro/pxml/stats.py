@@ -57,10 +57,9 @@ class NodeStats:
 
 
 def node_count(node: AnyPX) -> int:
-    """Total number of nodes (probability + possibility + regular)."""
-    if isinstance(node, PXDocument):
-        return node.root.node_count()
-    return node.node_count()
+    """Total number of nodes (probability + possibility + regular), read
+    from :func:`tree_stats`'s one pass."""
+    return tree_stats(node).total
 
 
 def tree_stats(node: AnyPX) -> NodeStats:

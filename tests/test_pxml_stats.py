@@ -34,13 +34,15 @@ class TestTreeStats:
         assert stats.max_branching == 3
 
     def test_total_matches_node_count(self):
+        # node_count reads the census; the model's recursive method is
+        # the independent count.
         doc = certain_document(XDocument(element("a", element("b", "x"))))
-        assert tree_stats(doc).total == node_count(doc)
+        assert tree_stats(doc).total == node_count(doc) == doc.node_count()
 
     @given(pxml_documents())
     def test_census_adds_up(self, doc):
         stats = tree_stats(doc)
-        assert stats.total == node_count(doc)
+        assert stats.total == node_count(doc) == doc.node_count()
         assert stats.world_count == world_count(doc)
 
     def test_census_of_each_node_kind(self):
@@ -64,8 +66,10 @@ class TestTreeStats:
         assert world_count(element) == 4
 
     def test_deep_documents(self):
-        stats = tree_stats(parse_pxml(nested_pxml(5000)))
+        deep = parse_pxml(nested_pxml(5000))
+        stats = tree_stats(deep)
         assert (stats.total, stats.world_count) == (15000, 1)
+        assert node_count(deep) == 15000
         stats = tree_stats(parse_pxml(choice_chain_pxml(1500)))
         assert (stats.choice_points, stats.world_count) == (1500, 1501)
 
