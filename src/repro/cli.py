@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import itertools
 import shlex
 import signal
 import sys
@@ -282,10 +283,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_worlds(args: argparse.Namespace) -> int:
     document = _load_pxml(args.document)
-    for index, world in enumerate(iter_worlds(document, limit=args.limit)):
+    # --limit caps what is printed; the enumeration keeps its own guard.
+    for world in itertools.islice(iter_worlds(document), max(args.limit, 0)):
         print(f"[{format_percent(world.probability, digits=2)}] {serialize(world.document)}")
-        if index + 1 >= args.limit:
-            break
     return 0
 
 
@@ -655,7 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worlds = sub.add_parser("worlds", help="enumerate possible worlds")
     p_worlds.add_argument("document")
-    p_worlds.add_argument("--limit", type=int, default=20)
+    p_worlds.add_argument(
+        "--limit", type=int, default=20, help="print at most this many worlds"
+    )
     p_worlds.set_defaults(handler=_cmd_worlds)
 
     p_fb = sub.add_parser("feedback", help="condition on answer feedback")

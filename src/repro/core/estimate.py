@@ -4,8 +4,8 @@ Figure 5 of the paper plots integration results up to ~10⁹ nodes; no
 interpreter materialises such a tree.  This estimator mirrors the engine's
 construction arithmetic exactly:
 
-* per-pair merges are materialised once each (they are element-sized, e.g.
-  one merged movie) to obtain their node and world counts;
+* a merged pair's node and world counts follow ``Integrator.merge_pair``
+  step by step, without building the pair;
 * the combinatorial part — how many matchings exist, in how many of them a
   given pair is matched, in how many a given element stays unmatched — is
   computed by the counting DP of :mod:`repro.core.matching`;
@@ -26,7 +26,6 @@ from typing import Optional
 
 from ..errors import IntegrationError
 from ..pxml.build import certain_element
-from ..pxml.stats import tree_stats
 from ..xmlkit.nodes import XDocument, XElement, XText
 from .engine import (
     IntegrationConfig,
@@ -76,18 +75,14 @@ class SizeEstimate:
 class _Estimator:
     def __init__(self, config: IntegrationConfig):
         self.config = config
-        # A throwaway integrator provides the *actual* per-pair merges so
-        # the estimate cannot drift from the engine's construction.
+        # A throwaway integrator reconciles leaf conflicts exactly as the
+        # engine would, so the estimate cannot drift from its construction.
         self._integrator = Integrator(config)
         self.groups: list[GroupEstimate] = []
 
     # node/world counts of a certain (unmatched) element
     def certain_size(self, element: XElement) -> int:
         return certain_element(element).node_count()
-
-    def merged_pair_size(self, a: XElement, b: XElement) -> tuple[int, int]:
-        stats = tree_stats(self._integrator.merge_pair(a, b))
-        return stats.total, stats.world_count
 
     # -- element level ------------------------------------------------------
 

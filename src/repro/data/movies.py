@@ -43,12 +43,6 @@ class MovieRecord:
     kind: str = "film"
     rwo: str = ""  # ground-truth identity; same rwo ⇔ same real movie
 
-    def with_title(self, title: str) -> "MovieRecord":
-        return MovieRecord(
-            title, self.year, self.genres, self.directors,
-            self.cast, self.runtime, self.kind, self.rwo,
-        )
-
 
 # -- the franchises the paper names (§V) ------------------------------------
 
@@ -117,13 +111,6 @@ _VARIANT_DIRECTORS = (
     "Alan Smithee", "Rick Baxter", "Nora Klein",
     "Paolo Venditti", "Greta Hollis", "Marcus Albright",
 )
-
-
-def franchise_base_title(franchise: str) -> str:
-    """The title every movie of ``franchise`` shares (franchises are
-    keyed by their base title, so this is the identity — kept as a named
-    hook so generators read as intent, not coincidence)."""
-    return franchise
 
 
 def confusing_mpeg7_six() -> list[MovieRecord]:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ..probability import ONE
-from .model import PXDocument, PXElement, PXText, Possibility, ProbNode
-from .stats import tree_stats
+from .model import PXDocument, ProbNode
+from .stats import _reaches, tree_stats
 
 
 def _entropy_bits(probabilities: list[Fraction]) -> float:
@@ -50,20 +49,6 @@ class UncertaintyProfile:
         )
 
 
-def _entropy_prob(node: ProbNode, reach: Fraction) -> float:
-    total = float(reach) * _entropy_bits([p.prob for p in node.possibilities])
-    for possibility in node.possibilities:
-        branch_reach = reach * possibility.prob
-        for child in possibility.children:
-            if isinstance(child, PXElement):
-                total += _entropy_element(child, branch_reach)
-    return total
-
-
-def _entropy_element(element: PXElement, reach: Fraction) -> float:
-    return sum(_entropy_prob(child, reach) for child in element.children)
-
-
 def world_entropy(document: Union[PXDocument, ProbNode]) -> float:
     """Entropy (bits) of the choice-world distribution.
 
@@ -74,8 +59,11 @@ def world_entropy(document: Union[PXDocument, ProbNode]) -> float:
     >>> world_entropy(doc)
     1.0
     """
-    root = document.root if isinstance(document, PXDocument) else document
-    return _entropy_prob(root, ONE)
+    return sum(
+        float(reach) * _entropy_bits([p.prob for p in node.possibilities])
+        for node, reach in _reaches(document)
+        if isinstance(node, ProbNode)
+    )
 
 
 def uncertainty_profile(document: PXDocument) -> UncertaintyProfile:

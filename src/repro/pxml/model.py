@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ..errors import ModelError
 from ..probability import ONE, ProbLike, as_probability
@@ -31,9 +31,62 @@ _UID_COUNTER = itertools.count(1)
 PXChild = Union["PXElement", "PXText"]
 
 K = TypeVar("K")
+_R = TypeVar("_R")
+_N = TypeVar("_N", bound="_PXNode")
 
 
-class PXText:
+class _PXNode:
+    """What the four node kinds share: the walks over a subtree, each
+    written once on an explicit stack, so document depth is bounded by
+    memory and never by the interpreter stack.  ``node_count``,
+    ``iter_prob_nodes`` and ``is_certain`` run on :func:`_preorder`;
+    ``copy`` keeps its own top-down loop, since integration copies every
+    merged pair it uses."""
+
+    __slots__ = ()
+
+    def copy(self: _N) -> _N:
+        """Deep copy.  Its probability nodes are *new* choice variables:
+        fresh uids, numbered children first, left to right."""
+        probs: list[ProbNode] = []
+        root = _bare(self)
+        stack = [] if isinstance(self, PXText) else [(self, root)]
+        while stack:
+            source, clone = stack.pop()
+            if isinstance(source, ProbNode):
+                probs.append(clone)
+                below, into = source.possibilities, clone.possibilities
+            else:
+                below, into = source.children, clone.children
+            for child in below:
+                copied = _bare(child)
+                into.append(copied)
+                if not isinstance(child, PXText):
+                    stack.append((child, copied))
+        # The stack took siblings right to left; reversed, that pre-order
+        # is children first, left to right.
+        for prob in reversed(probs):
+            prob.uid = next(_UID_COUNTER)
+        return root
+
+    def node_count(self) -> int:
+        """Number of nodes in this subtree, this node included."""
+        return sum(1 for _ in _preorder(self))
+
+    def iter_prob_nodes(self) -> Iterator["ProbNode"]:
+        """The probability nodes of this subtree, this node included, in
+        document pre-order."""
+        return (node for node in _preorder(self) if isinstance(node, ProbNode))
+
+    def is_certain(self) -> bool:
+        """True when this subtree admits exactly one world."""
+        return all(
+            len(node.possibilities) == 1 and node.possibilities[0].prob == ONE
+            for node in self.iter_prob_nodes()
+        )
+
+
+class PXText(_PXNode):
     """A regular text node (leaf)."""
 
     __slots__ = ("value",)
@@ -43,17 +96,11 @@ class PXText:
             raise ModelError(f"text value must be str, got {type(value).__name__}")
         self.value = value
 
-    def copy(self) -> "PXText":
-        return PXText(self.value)
-
-    def node_count(self) -> int:
-        return 1
-
     def __repr__(self) -> str:
         return f"PXText({self.value!r})"
 
 
-class PXElement:
+class PXElement(_PXNode):
     """A regular element node; its children are probability nodes."""
 
     __slots__ = ("tag", "attributes", "children")
@@ -81,26 +128,11 @@ class PXElement:
         self.children.append(child)
         return child
 
-    def copy(self) -> "PXElement":
-        return PXElement(
-            self.tag, dict(self.attributes), [child.copy() for child in self.children]
-        )
-
-    def node_count(self) -> int:
-        return 1 + sum(child.node_count() for child in self.children)
-
-    def iter_prob_nodes(self) -> Iterator["ProbNode"]:
-        for child in self.children:
-            yield from child.iter_prob_nodes()
-
-    def is_certain(self) -> bool:
-        return all(child.is_certain() for child in self.children)
-
     def __repr__(self) -> str:
         return f"PXElement({self.tag!r}, children={len(self.children)})"
 
 
-class Possibility:
+class Possibility(_PXNode):
     """One alternative (○) under a probability node."""
 
     __slots__ = ("prob", "children")
@@ -122,24 +154,11 @@ class Possibility:
         self.children.append(child)
         return child
 
-    def copy(self) -> "Possibility":
-        clone = Possibility(self.prob)
-        clone.children = [child.copy() for child in self.children]
-        return clone
-
-    def node_count(self) -> int:
-        return 1 + sum(child.node_count() for child in self.children)
-
-    def iter_prob_nodes(self) -> Iterator["ProbNode"]:
-        for child in self.children:
-            if isinstance(child, PXElement):
-                yield from child.iter_prob_nodes()
-
     def __repr__(self) -> str:
         return f"Possibility(p={self.prob}, children={len(self.children)})"
 
 
-class ProbNode:
+class ProbNode(_PXNode):
     """A choice point (▽); children are mutually exclusive possibilities.
 
     Weak-referenceable so the event algebra's uid → node registry
@@ -163,29 +182,6 @@ class ProbNode:
             )
         self.possibilities.append(possibility)
         return possibility
-
-    def copy(self) -> "ProbNode":
-        """Deep copy.  The copy is a *new* choice variable (fresh uid)."""
-        return ProbNode([possibility.copy() for possibility in self.possibilities])
-
-    def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.possibilities)
-
-    def iter_prob_nodes(self) -> Iterator["ProbNode"]:
-        """This node and all probability nodes below it, pre-order."""
-        yield self
-        for possibility in self.possibilities:
-            yield from possibility.iter_prob_nodes()
-
-    def is_certain(self) -> bool:
-        """True when this subtree admits exactly one world."""
-        if len(self.possibilities) != 1 or self.possibilities[0].prob != ONE:
-            return False
-        return all(
-            child.is_certain()
-            for child in self.possibilities[0].children
-            if isinstance(child, PXElement)
-        )
 
     def total_probability(self) -> Fraction:
         return sum((p.prob for p in self.possibilities), Fraction(0))
@@ -228,13 +224,64 @@ class PXDocument:
         return f"PXDocument(nodes={self.node_count()})"
 
 
+# -- walks ---------------------------------------------------------------------
+
+def _below(node: _PXNode) -> Sequence[_PXNode]:
+    """The children of ``node`` in the layered tree."""
+    if isinstance(node, (PXElement, Possibility)):
+        return node.children
+    if isinstance(node, ProbNode):
+        return node.possibilities
+    return ()
+
+
+def _preorder(node: _PXNode, *, mirrored: bool = False) -> Iterator[_PXNode]:
+    """Every node of ``node``'s subtree in document pre-order, or with
+    siblings taken right to left when ``mirrored``."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        below = _below(current)
+        stack.extend(below if mirrored else reversed(below))
+
+
+def _fold(node: _PXNode, combine: Callable[[_PXNode, list[_R]], _R]) -> _R:
+    """Fold ``node``'s subtree children first, left to right: ``combine``
+    gets each node with its children's results, in document order.  That
+    is the mirrored pre-order, reversed."""
+    results: list[_R] = []
+    for current in reversed(list(_preorder(node, mirrored=True))):
+        cut = len(results) - len(_below(current))
+        parts = results[cut:]
+        del results[cut:]
+        results.append(combine(current, parts))
+    return results[0]
+
+
+def _bare(node: _N) -> _N:
+    """A copy of ``node`` without its children (nor its uid, if it is a
+    probability node).  The node is valid already, so the constructors'
+    checks are skipped."""
+    clone = object.__new__(type(node))
+    if isinstance(node, PXElement):
+        clone.tag, clone.attributes, clone.children = node.tag, dict(node.attributes), []
+    elif isinstance(node, Possibility):
+        clone.prob, clone.children = node.prob, []
+    elif isinstance(node, ProbNode):
+        clone.possibilities = []
+    else:
+        clone.value = node.value
+    return clone
+
+
 # -- validation ---------------------------------------------------------------
 
 def validate_document(
     document: PXDocument | ProbNode, *, as_document: bool = True
 ) -> None:
     """Check all layering and probability invariants; raise
-    :class:`ModelError` on the first violation."""
+    :class:`ModelError` on the first violation, in document order."""
     root = document.root if isinstance(document, PXDocument) else document
     if as_document:
         for possibility in root.possibilities:
@@ -243,35 +290,34 @@ def validate_document(
                 raise ModelError(
                     "each root possibility must hold exactly one element"
                 )
-    _validate_prob(root, path="/")
-
-
-def _validate_prob(node: ProbNode, path: str) -> None:
-    if not node.possibilities:
-        raise ModelError(f"{path}: probability node without possibilities")
-    total = node.total_probability()
-    if total != 1:
-        raise ModelError(f"{path}: possibilities sum to {total}, expected 1")
-    for index, possibility in enumerate(node.possibilities):
-        if possibility.prob <= 0:
-            raise ModelError(f"{path}[{index}]: non-positive probability")
-        for child in possibility.children:
-            if isinstance(child, PXElement):
-                _validate_element(child, f"{path}[{index}]/{child.tag}")
-            elif not isinstance(child, PXText):
-                raise ModelError(
-                    f"{path}[{index}]: invalid child {type(child).__name__}"
-                )
-
-
-def _validate_element(element: PXElement, path: str) -> None:
-    for child in element.children:
-        if not isinstance(child, ProbNode):
-            raise ModelError(
-                f"{path}: element child must be a probability node,"
-                f" got {type(child).__name__}"
+    # Each entry holds a node, the path its parent reports it under and
+    # the kind it must be: a child is checked when it comes off the
+    # stack, after its elder siblings' subtrees.
+    regular = (PXElement, PXText)
+    stack: list[tuple[Any, str, Any]] = [(root, "", ProbNode)]
+    while stack:
+        node, path, kind = stack.pop()
+        if not isinstance(node, kind):
+            what = "invalid child" if kind is regular else (
+                "element child must be a probability node, got"
             )
-        _validate_prob(child, f"{path}/▽{child.uid}")
+            raise ModelError(f"{path}: {what} {type(node).__name__}")
+        if isinstance(node, ProbNode):
+            path = f"{path}/▽{node.uid}" if path else "/"
+            if not node.possibilities:
+                raise ModelError(f"{path}: probability node without possibilities")
+            total = node.total_probability()
+            if total != 1:
+                raise ModelError(f"{path}: possibilities sum to {total}, expected 1")
+            below = [(p, f"{path}[{i}]", object) for i, p in enumerate(node.possibilities)]
+            stack.extend(reversed(below))
+        elif isinstance(node, Possibility):
+            if node.prob <= 0:
+                raise ModelError(f"{path}: non-positive probability")
+            stack.extend((child, path, regular) for child in reversed(node.children))
+        elif isinstance(node, PXElement):
+            path = f"{path}/{node.tag}"
+            stack.extend((child, path, ProbNode) for child in reversed(node.children))
 
 
 # -- structural equality -------------------------------------------------------
@@ -350,26 +396,22 @@ def px_canonical_key(node: Union[ProbNode, Possibility, PXChild]) -> tuple:
     :mod:`repro.pxml.simplify` first when a semantic comparison is needed.
     The key rules are the constructors above, which compaction shares.
     """
+    if not isinstance(node, _PXNode):
+        raise ModelError(f"cannot key {type(node).__name__}")
+    return _fold(node, _key_of)
+
+
+def _key_of(node: _PXNode, keys: list[tuple]) -> tuple:
+    """``node``'s key from its children's keys (see :func:`px_canonical_key`)."""
     if isinstance(node, PXText):
         return _text_key(node.value)
     if isinstance(node, PXElement):
-        return _element_key(
-            node,
-            [px_canonical_key(child) for child in node.children],
-            any(_yields_top_text(child) for child in node.children),
-        )
+        return _element_key(node, keys, any(map(_yields_top_text, node.children)))
     if isinstance(node, Possibility):
-        elements = (
-            px_canonical_key(child)
-            for child in node.children
-            if isinstance(child, PXElement)
-        )
-        return _possibility_key(
-            node.prob, _content_key(node.children, elements, _text_key)
-        )
-    if isinstance(node, ProbNode):
-        return _prob_key(px_canonical_key(p) for p in node.possibilities)
-    raise ModelError(f"cannot key {type(node).__name__}")
+        elements = (k for c, k in zip(node.children, keys) if isinstance(c, PXElement))
+        content = _content_key(node.children, elements, _text_key)
+        return _possibility_key(node.prob, content)
+    return _prob_key(keys)
 
 
 def px_deep_equal(

@@ -10,56 +10,51 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from ..probability import ONE
 from ..xmlkit.nodes import XChild, XDocument, XElement, XText
 from ..errors import ModelError
-from .model import PXDocument, PXElement, PXText, Possibility, ProbNode
+from .model import PXDocument, PXText, Possibility, ProbNode
 from .worlds import World
 
 
-def _draw(node: ProbNode, rng: random.Random) -> tuple[int, Possibility]:
+def _draw(node: ProbNode, rng: random.Random) -> Possibility:
     roll = Fraction(rng.random()).limit_denominator(10**12)
     cumulative = Fraction(0)
-    for index, possibility in enumerate(node.possibilities):
+    for possibility in node.possibilities:
         cumulative += possibility.prob
         if roll < cumulative:
-            return index, possibility
-    return len(node.possibilities) - 1, node.possibilities[-1]
-
-
-def _sample_prob(node: ProbNode, rng: random.Random, prob_acc: list[Fraction]) -> list[XChild]:
-    _, possibility = _draw(node, rng)
-    prob_acc[0] *= possibility.prob
-    children: list[XChild] = []
-    for child in possibility.children:
-        if isinstance(child, PXText):
-            children.append(XText(child.value))
-        else:
-            children.append(_sample_element(child, rng, prob_acc))
-    return children
-
-
-def _sample_element(
-    element: PXElement, rng: random.Random, prob_acc: list[Fraction]
-) -> XElement:
-    result = XElement(element.tag, dict(element.attributes))
-    for prob_child in element.children:
-        for child in _sample_prob(prob_child, rng, prob_acc):
-            result.append(child)
-    return result
+            return possibility
+    return node.possibilities[-1]
 
 
 def sample_world(document: PXDocument, rng: Optional[random.Random] = None) -> World:
-    """Draw one world with probability proportional to its likelihood."""
+    """Draw one world with probability proportional to its likelihood.
+
+    One pre-order stack draws at every reachable probability node in
+    document order and puts each drawn node under its parent's copy.
+    """
     rng = rng or random.Random()
-    prob_acc = [ONE]
-    children = _sample_prob(document.root, rng, prob_acc)
-    elements = [child for child in children if isinstance(child, XElement)]
+    probability = ONE
+    roots: list[XChild] = []
+    stack: list[tuple[Any, Any]] = [(document.root, roots)]
+    while stack:
+        node, parent = stack.pop()
+        if isinstance(node, ProbNode):
+            possibility = _draw(node, rng)
+            probability *= possibility.prob
+            stack.extend((child, parent) for child in reversed(possibility.children))
+        elif isinstance(node, PXText):
+            parent.append(XText(node.value))
+        else:
+            element = XElement(node.tag, node.attributes)
+            parent.append(element)
+            stack.extend((child, element) for child in reversed(node.children))
+    elements = [child for child in roots if isinstance(child, XElement)]
     if len(elements) != 1:
         raise ModelError("a root possibility must expand to exactly one element")
-    return World(XDocument(elements[0]), prob_acc[0])
+    return World(XDocument(elements[0]), probability)
 
 
 def sample_worlds(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from ..probability import ONE, ZERO
 from .model import PXDocument, PXElement, PXText, Possibility, ProbNode
@@ -41,10 +41,6 @@ class NodeStats:
             + self.element_nodes
             + self.text_nodes
         )
-
-    @property
-    def regular_nodes(self) -> int:
-        return self.element_nodes + self.text_nodes
 
     def summary(self) -> str:
         return (
@@ -132,28 +128,24 @@ def tree_stats(node: AnyPX) -> NodeStats:
     )
 
 
-def expected_world_size(node: AnyPX) -> Fraction:
-    """Expected number of plain-XML nodes of a random world.
-
-    Each regular node counts with the probability that a world keeps it:
-    the product of the possibilities on its path.  One top-down pass
-    with an explicit stack carries that product to every node.
-    """
-    total = ZERO
-    stack: list[tuple[AnyPX, Fraction]] = [
-        (node.root if isinstance(node, PXDocument) else node, ONE)
-    ]
+def _reaches(node: AnyPX) -> Iterator[tuple[AnyPX, Fraction]]:
+    """Every node of ``node``'s subtree with the probability that a world
+    keeps it: the product of the possibilities on its path.  One top-down
+    pass with an explicit stack carries that product to every node."""
+    stack = [(node.root if isinstance(node, PXDocument) else node, ONE)]
     while stack:
         current, reach = stack.pop()
+        yield current, reach
         if isinstance(current, ProbNode):
             stack.extend((p, reach * p.prob) for p in current.possibilities)
-        elif isinstance(current, Possibility):
+        elif isinstance(current, (Possibility, PXElement)):
             stack.extend((child, reach) for child in current.children)
-        elif isinstance(current, PXElement):
-            total += reach
-            stack.extend((child, reach) for child in current.children)
-        elif isinstance(current, PXText):
-            total += reach
-        else:
-            raise TypeError(f"cannot size {type(current).__name__}")
-    return total
+        elif not isinstance(current, PXText):
+            raise TypeError(f"cannot walk {type(current).__name__}")
+
+
+def expected_world_size(node: AnyPX) -> Fraction:
+    """Expected number of plain-XML nodes of a random world: each regular
+    node counts with the probability that a world keeps it."""
+    regular = (PXElement, PXText)
+    return sum((reach for item, reach in _reaches(node) if isinstance(item, regular)), ZERO)

@@ -11,6 +11,7 @@ wanted).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -18,7 +19,15 @@ from typing import Iterator, Optional, Union
 from ..errors import ExplosionError
 from ..probability import ONE
 from ..xmlkit.nodes import XChild, XDocument, XElement, XText, canonical_key
-from .model import PXChild, PXDocument, PXElement, PXText, ProbNode
+from .model import (
+    PXDocument,
+    PXElement,
+    PXText,
+    Possibility,
+    ProbNode,
+    _fold,
+    _PXNode,
+)
 from .stats import tree_stats
 
 DEFAULT_WORLD_LIMIT = 200_000
@@ -42,63 +51,56 @@ def world_count(node: Union[PXDocument, ProbNode, PXElement, PXText]) -> int:
     return tree_stats(node).world_count
 
 
-def _expand_element(
-    element: PXElement, limit: Optional[int]
-) -> list[tuple[XElement, Fraction]]:
-    variants: list[tuple[XElement, Fraction]] = [
-        (XElement(element.tag, dict(element.attributes)), ONE)
-    ]
-    for prob_child in element.children:
-        child_variants = _expand_prob(prob_child, limit)
-        merged: list[tuple[XElement, Fraction]] = []
-        for base, base_prob in variants:
-            for children, child_prob in child_variants:
-                clone = base.copy()
-                for child in children:
-                    clone.append(child.copy())
-                merged.append((clone, base_prob * child_prob))
-                if limit is not None and len(merged) > limit:
-                    raise ExplosionError(
-                        f"world enumeration under <{element.tag}> exceeds"
-                        f" the limit of {limit} variants",
-                        estimated=world_count(element),
-                    )
-        variants = merged
-    return variants
+def _expand(node: _PXNode, parts: list, limit: Optional[int]) -> list:
+    """One step of the children-first fold behind :func:`iter_worlds`:
+    every way to fill ``node``'s place in a world, as a list of plain
+    nodes with its probability.  A possibility hands its children's ways
+    up to its probability node.  A plain node is shared by all the ways
+    that hold it and copied only when it is placed a second time."""
+    if isinstance(node, PXText):
+        return [([XText(node.value)], ONE)]
+    if isinstance(node, Possibility):
+        return parts
+    if isinstance(node, PXElement):
+        return [
+            ([XElement(node.tag, node.attributes, map(_placed, children))], prob)
+            for children, prob in _combine(node, [([], ONE)], parts, limit)
+        ]
+    ways = []
+    for possibility, results in zip(node.possibilities, parts):
+        ways.extend(_combine(node, [([], possibility.prob)], results, limit))
+        _guard(node, len(ways), limit)
+    return ways
 
 
-def _expand_prob(
-    node: ProbNode, limit: Optional[int]
-) -> list[tuple[list[XChild], Fraction]]:
-    expansions: list[tuple[list[XChild], Fraction]] = []
-    for possibility in node.possibilities:
-        branch: list[tuple[list[XChild], Fraction]] = [([], possibility.prob)]
-        for child in possibility.children:
-            if isinstance(child, PXText):
-                branch = [
-                    (items + [XText(child.value)], prob) for items, prob in branch
-                ]
-            else:
-                child_variants = _expand_element(child, limit)
-                branch = [
-                    (items + [variant], prob * variant_prob)
-                    for items, prob in branch
-                    for variant, variant_prob in child_variants
-                ]
-            if limit is not None and len(branch) > limit:
-                raise ExplosionError(
-                    f"world enumeration at ▽{node.uid} exceeds the limit"
-                    f" of {limit} variants",
-                    estimated=world_count(node),
-                )
-        expansions.extend(branch)
-        if limit is not None and len(expansions) > limit:
-            raise ExplosionError(
-                f"world enumeration at ▽{node.uid} exceeds the limit"
-                f" of {limit} variants",
-                estimated=world_count(node),
-            )
-    return expansions
+def _combine(node: _PXNode, ways: list, parts: list, limit: Optional[int]) -> list:
+    """``ways`` extended by one way of each child in ``parts``, in every
+    combination, the first child's ways varying slowest."""
+    for results in parts:
+        combined = (
+            (items + more, prob * more_prob)
+            for items, prob in ways
+            for more, more_prob in results
+        )
+        ways = list(itertools.islice(combined, None if limit is None else limit + 1))
+        _guard(node, len(ways), limit)
+    return ways
+
+
+def _placed(child: XChild) -> XChild:
+    """``child`` itself where it is placed first, a copy where again."""
+    return child if child.parent is None else child.copy()
+
+
+def _guard(node: _PXNode, count: int, limit: Optional[int]) -> None:
+    """Raise :class:`ExplosionError` when ``node`` has more than ``limit``
+    ways."""
+    if limit is not None and count > limit:
+        where = f"under <{node.tag}>" if isinstance(node, PXElement) else f"at ▽{node.uid}"
+        raise ExplosionError(
+            f"world enumeration {where} exceeds the limit of {limit} variants",
+            estimated=world_count(node),
+        )
 
 
 def iter_worlds(
@@ -111,7 +113,8 @@ def iter_worlds(
     produced (pass ``limit=None`` at your own risk — the count grows
     exponentially; check :func:`world_count` first).
     """
-    for children, prob in _expand_prob(document.root, limit):
+    expansions = _fold(document.root, lambda node, parts: _expand(node, parts, limit))
+    for children, prob in expansions:
         elements = [child for child in children if isinstance(child, XElement)]
         if len(elements) != 1:
             raise ExplosionError(

@@ -10,23 +10,51 @@ bolt onto ElementTree.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, TypeVar, Union
 
 XChild = Union["XElement", "XText"]
 
+_X = TypeVar("_X", bound="XNode")
+
 
 class XNode:
-    """Base class for plain XML nodes."""
+    """Base class for plain XML nodes.  Its walks over a subtree are
+    written once, here, on explicit stacks: document depth is bounded by
+    memory, never by the interpreter stack."""
 
     parent: Optional["XElement"]
 
+    def iter(self) -> Iterator["XNode"]:
+        """Depth-first pre-order iteration over this subtree."""
+        stack: list[XNode] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, XElement):
+                stack.extend(reversed(node.children))
+
     def node_count(self) -> int:
         """Number of nodes in this subtree (this node included)."""
-        raise NotImplementedError
+        return sum(1 for _ in self.iter())
 
-    def copy(self) -> "XNode":
-        """Deep copy of this subtree; the copy has no parent."""
-        raise NotImplementedError
+    def copy(self: _X) -> _X:
+        """Deep copy of this subtree; the copy has no parent.  Each element
+        is copied top-down with all of its children at once."""
+        if isinstance(self, XText):
+            return XText(self.value)  # type: ignore[return-value]
+        root = XElement(self.tag, self.attributes)  # type: ignore[attr-defined]
+        stack = [(self, root)]
+        while stack:
+            source, clone = stack.pop()
+            for child in source.children:
+                if isinstance(child, XText):
+                    copied = XText(child.value)
+                else:
+                    copied = XElement(child.tag, child.attributes)
+                    stack.append((child, copied))
+                copied.parent = clone
+                clone.children.append(copied)
+        return root  # type: ignore[return-value]
 
 
 class XText(XNode):
@@ -39,12 +67,6 @@ class XText(XNode):
             raise TypeError(f"text value must be str, got {type(value).__name__}")
         self.value = value
         self.parent = None
-
-    def node_count(self) -> int:
-        return 1
-
-    def copy(self) -> "XText":
-        return XText(self.value)
 
     def string_value(self) -> str:
         return self.value
@@ -97,12 +119,6 @@ class XElement(XNode):
         for child in children:
             self.append(child)
 
-    def copy(self) -> "XElement":
-        clone = XElement(self.tag, dict(self.attributes))
-        for child in self.children:
-            clone.append(child.copy())
-        return clone
-
     # -- navigation -------------------------------------------------------
 
     def child_elements(self, tag: Optional[str] = None) -> list["XElement"]:
@@ -119,15 +135,6 @@ class XElement(XNode):
             if isinstance(child, XElement) and child.tag == tag:
                 return child
         return None
-
-    def iter(self) -> Iterator[XNode]:
-        """Depth-first pre-order iteration over this subtree."""
-        yield self
-        for child in self.children:
-            if isinstance(child, XElement):
-                yield from child.iter()
-            else:
-                yield child
 
     def iter_elements(self, tag: Optional[str] = None) -> Iterator["XElement"]:
         """Depth-first iteration over descendant-or-self elements."""
@@ -147,15 +154,20 @@ class XElement(XNode):
         """Concatenated text of all descendant text nodes (XPath string
         value of an element)."""
         parts: list[str] = []
-        for node in self.iter():
-            if isinstance(node, XText):
-                parts.append(node.value)
+        # The unread children of each open element, innermost last.
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, XText):
+                    parts.append(child.value)
+                else:
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
         return "".join(parts)
 
     string_value = text
-
-    def node_count(self) -> int:
-        return 1 + sum(child.node_count() for child in self.children)
 
     # -- misc ---------------------------------------------------------------
 
@@ -191,41 +203,43 @@ class XDocument:
         return f"XDocument(root={self.root.tag!r}, nodes={self.node_count()})"
 
 
-def _normalized_children(element: XElement) -> list[XChild]:
-    """Children with whitespace-only text dropped and adjacent text merged —
-    the comparison view used by deep equality."""
-    merged: list[XChild] = []
-    buffer: list[str] = []
-    for child in element.children:
-        if isinstance(child, XText):
-            buffer.append(child.value)
-        else:
-            text = "".join(buffer)
-            if text.strip():
-                merged.append(XText(text))
-            buffer = []
-            merged.append(child)
-    text = "".join(buffer)
-    if text.strip():
-        merged.append(XText(text))
-    return merged
-
-
 def canonical_key(node: XChild, *, ignore_order: bool = True) -> tuple:
     """A hashable structural key: two nodes are deep-equal iff their keys
     are equal.  With ``ignore_order`` sibling order does not matter (the
     semantics used by the paper's *deep-equal* generic rule: two elements
     describe the same real-world object if they carry the same information,
-    regardless of serialisation order)."""
+    regardless of serialisation order).  Adjacent text is merged and
+    whitespace-only text dropped.
+
+    Keys fold children first: each open element has a frame with its
+    unread children, its content's keys so far and the text run being
+    merged, and is keyed into its parent's frame when its children are
+    done.
+    """
     if isinstance(node, XText):
         return ("#text", node.value)
-    child_keys = [
-        canonical_key(child, ignore_order=ignore_order)
-        for child in _normalized_children(node)
-    ]
-    if ignore_order:
-        child_keys.sort()
-    return ("#elem", node.tag, tuple(sorted(node.attributes.items())), tuple(child_keys))
+    key: tuple = ()
+    stack: list[tuple] = [(node, iter(node.children), [], [])]
+    while stack:
+        element, pending, keys, run = stack[-1]
+        child = next(pending, None)
+        if isinstance(child, XText):
+            run.append(child.value)
+            continue
+        text = "".join(run)
+        if text.strip():
+            keys.append(("#text", text))
+        run.clear()
+        if child is not None:
+            stack.append((child, iter(child.children), [], []))
+            continue
+        stack.pop()
+        if ignore_order:
+            keys.sort()
+        key = ("#elem", element.tag, tuple(sorted(element.attributes.items())), tuple(keys))
+        if stack:
+            stack[-1][2].append(key)
+    return key
 
 
 def deep_equal(a: XChild, b: XChild, *, ignore_order: bool = True) -> bool:

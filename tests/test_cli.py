@@ -4,7 +4,9 @@ import pytest
 
 from repro.cli import main
 from repro.data.addressbook import addressbook_documents
+from repro.pxml.serialize import pxml_to_text
 from repro.xmlkit.serializer import serialize
+from .test_tree_pass import merged_book
 
 DTD_TEXT = (
     "<!ELEMENT addressbook (person*)><!ELEMENT person (nm, tel)>"
@@ -77,6 +79,16 @@ class TestQueryAndStats:
         assert run(["worlds", integrated, "--limit", 10]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 3
+
+    def test_worlds_limit_caps_the_printout(self, workspace, capsys):
+        """``--limit`` is how many worlds to print, not an enumeration
+        guard: the merged 3x3 book holds 467 worlds."""
+        book = workspace / "book.pxml"
+        book.write_text(pxml_to_text(merged_book(3)), encoding="utf-8")
+        assert run(["worlds", book, "--limit", 5]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("[") for line in lines)
 
     def test_feedback_roundtrip(self, integrated, workspace, capsys):
         assert run([

@@ -346,6 +346,11 @@ class TestNoRecursion:
             "repro/pxml/simplify.py",
             "repro/pxml/build.py",
             "repro/pxml/stats.py",
+            "repro/pxml/model.py",
+            "repro/pxml/worlds.py",
+            "repro/pxml/sampling.py",
+            "repro/pxml/measures.py",
+            "repro/xmlkit/nodes.py",
             "repro/feedback/conditioning.py",
         ],
     )
@@ -362,6 +367,65 @@ class TestNoRecursion:
         write_fixture(tmp_path / "clean", module, source)
         findings, _ = lint(tmp_path / "clean", rules=["no-recursion"])
         assert findings == []
+
+    def test_method_recursion_through_another_object(self, tmp_path):
+        """Inside a method ``m``, ``x.m()`` on a plain name other than
+        ``self`` may reach any ``m`` of the module; a function of another
+        name calling ``x.key()`` is no cycle."""
+        write_fixture(
+            tmp_path,
+            "repro/pxml/model.py",
+            """\
+            class Leaf:
+                def key(self):
+                    return ("leaf",)
+
+                def copy(self):
+                    return Leaf()
+
+
+            class Branch:
+                def copy(self):
+                    return Branch([child.copy() for child in self.children])
+
+
+            def _key_of(current):
+                return current.key()
+            """,
+        )
+        findings, _ = lint(tmp_path, rules=["no-recursion"])
+        assert [f.qualname for f in findings] == ["Branch.copy"]
+
+    def test_seeded_method_recursion_in_real_model(self, tmp_path):
+        source = (SRC / "repro/pxml/model.py").read_text(encoding="utf-8")
+        anchor = (
+            '    """A regular element node; its children are probability nodes."""\n'
+        )
+        assert anchor in source
+        mutated = source.replace(anchor, anchor + (
+            "\n    def copy(self):\n"
+            "        return PXElement(\n"
+            "            self.tag, dict(self.attributes),"
+            " [child.copy() for child in self.children]\n"
+            "        )\n"
+        ))
+        write_fixture(tmp_path, "repro/pxml/model.py", mutated)
+        findings, _ = lint(tmp_path, rules=["no-recursion"])
+        assert [f.qualname for f in findings] == ["PXElement.copy"]
+
+    def test_seeded_method_recursion_in_real_xml_nodes(self, tmp_path):
+        source = (SRC / "repro/xmlkit/nodes.py").read_text(encoding="utf-8")
+        anchor = "    # -- navigation ---"
+        assert anchor in source
+        mutated = source.replace(anchor, (
+            "    def iter(self):\n"
+            "        yield self\n"
+            "        for child in self.children:\n"
+            "            yield from child.iter()\n\n"
+        ) + anchor)
+        write_fixture(tmp_path, "repro/xmlkit/nodes.py", mutated)
+        findings, _ = lint(tmp_path, rules=["no-recursion"])
+        assert [f.qualname for f in findings] == ["XElement.iter"]
 
 
 # -- no-swallow ---------------------------------------------------------------

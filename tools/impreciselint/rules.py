@@ -380,23 +380,33 @@ def _check_method(
 # -- no-recursion -------------------------------------------------------------
 
 #: The worklist contract: these modules must stay recursion-free so deep
-#: documents cannot blow the interpreter stack — the pricing kernels, the
-#: shared tree traversal and what runs on it (answer pass, aggregates,
-#: compaction), the certain wrapper, the census, feedback conditioning,
-#: and the document codec (XML parser and writers, PXML wire format).
+#: documents cannot blow the interpreter stack — every module of the
+#: probabilistic layer but the test oracle ``events_reference.py`` (the
+#: tree model and its walks, the pricing kernels, the shared tree
+#: traversal, compaction, the census, world enumeration, sampling and
+#: measures, the PXML wire format), what runs on the traversal (answer
+#: pass, aggregates), feedback conditioning, and plain XML's node walks
+#: and codec.
 NO_RECURSION_SCOPE = (
-    "repro/pxml/events.py",
-    "repro/pxml/events_compile.py",
-    "repro/pxml/treefold.py",
-    "repro/pxml/simplify.py",
+    "repro/pxml/__init__.py",
     "repro/pxml/build.py",
+    "repro/pxml/events.py",
+    "repro/pxml/events_cache.py",
+    "repro/pxml/events_compile.py",
+    "repro/pxml/measures.py",
+    "repro/pxml/model.py",
+    "repro/pxml/sampling.py",
+    "repro/pxml/serialize.py",
+    "repro/pxml/simplify.py",
     "repro/pxml/stats.py",
+    "repro/pxml/treefold.py",
+    "repro/pxml/worlds.py",
     "repro/feedback/conditioning.py",
     "repro/query/aggregates.py",
     "repro/query/treepass.py",
+    "repro/xmlkit/nodes.py",
     "repro/xmlkit/parser.py",
     "repro/xmlkit/serializer.py",
-    "repro/pxml/serialize.py",
 )
 
 
@@ -414,24 +424,28 @@ def check_no_recursion(module: SourceModule) -> list:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     functions[(node.name, member.name)] = member
 
+    # Method recursion: inside a function or method named ``m``, a call
+    # ``x.m(...)`` on a plain name other than ``self`` may reach any ``m``
+    # the module defines (``child.copy()`` inside a node class's ``copy``).
+    named: dict = {}
+    for key in functions:
+        named.setdefault(key[1], set()).add(key)
+
     edges: dict = {key: set() for key in functions}
     for (owner, name), definition in functions.items():
         for node in ast.walk(definition):
             if not isinstance(node, ast.Call):
                 continue
-            callee = None
             if isinstance(node.func, ast.Name) and ("", node.func.id) in functions:
-                callee = ("", node.func.id)
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and owner
-                and (owner, node.func.attr) in functions
+                edges[(owner, name)].add(("", node.func.id))
+            elif isinstance(node.func, ast.Attribute) and isinstance(
+                node.func.value, ast.Name
             ):
-                callee = (owner, node.func.attr)
-            if callee is not None:
-                edges[(owner, name)].add(callee)
+                if node.func.value.id == "self":
+                    if owner and (owner, node.func.attr) in functions:
+                        edges[(owner, name)].add((owner, node.func.attr))
+                elif node.func.attr == name:
+                    edges[(owner, name)].update(named[name])
 
     findings: list = []
     for cycle in _cycles(edges):
