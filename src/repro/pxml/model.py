@@ -344,22 +344,26 @@ def _content_key(
 ) -> tuple:
     """The key of a possibility's content: *adjacent* text runs are merged
     and keyed by ``run_key``, element children take their keys from
-    ``element_keys`` (one per element, in document order), and the keys
-    are sorted — text concatenation order is semantically meaningful (it
-    is what worlds see), element order is not."""
+    ``element_keys`` (one per element, in document order).  Pure element
+    content is sorted: element order is not semantic.  Content with text
+    keeps document order: a run at either end joins the text beside the
+    possibility in a world, so ``x<a/>`` and ``<a/>x`` differ once text
+    precedes them."""
     merged: list[K] = []
     buffer: list[str] = []
+    text = False
     for child in children:
         if isinstance(child, PXText):
             buffer.append(child.value)
         else:
             if buffer:
                 merged.append(run_key("".join(buffer)))
-                buffer = []
+                buffer, text = [], True
             merged.append(next(element_keys))
     if buffer:
         merged.append(run_key("".join(buffer)))
-    return tuple(sorted(merged))
+        text = True
+    return tuple(merged if text else sorted(merged))
 
 
 def _element_key(element: PXElement, child_keys: list[K], ordered: bool) -> tuple:
@@ -391,9 +395,11 @@ def px_canonical_key(node: Union[ProbNode, Possibility, PXChild]) -> tuple:
 
     Sibling *element* order is ignored (consistent with the oracle's
     order-insensitive deep equality); adjacent text runs are merged, then
-    compared as units.  The key is *syntactic* — semantically equal trees
-    with different factorings get different keys.  Run
-    :mod:`repro.pxml.simplify` first when a semantic comparison is needed.
+    compared as units, and siblings among which text can stand keep
+    document order, because a world joins text across them.  The key is
+    *syntactic* — semantically equal trees with different factorings get
+    different keys.  Run :mod:`repro.pxml.simplify` first when a semantic
+    comparison is needed.
     The key rules are the constructors above, which compaction shares.
     """
     if not isinstance(node, _PXNode):

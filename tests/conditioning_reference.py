@@ -4,7 +4,10 @@ A test-only reference: ``condition_on_event`` with its three paths (a
 certain observation's copy, one satisfying branch through
 ``condition_on_assignment``, several through ``_rebuild_conditioned``),
 the recursive Shannon expansion ``_satisfying_branches`` and the rebuild
-helpers they call, copied verbatim.  ``tests/test_conditioning_differential.py``
+helpers they call, copied verbatim, except that the expansion's refusal
+no longer says to raise the limit: the program has no limit option, and
+the two refusals are compared word for word.
+``tests/test_conditioning_differential.py``
 compares :mod:`repro.feedback.conditioning` against it; the program never
 imports this module.
 """
@@ -85,7 +88,7 @@ def _satisfying_branches(
             if len(branches) > limit:
                 raise FeedbackError(
                     f"conditioning needs more than {limit} branches;"
-                    " raise the limit or simplify the observation"
+                    " simplify the observation"
                 )
             return
         if current is FALSE_EVENT:

@@ -4,7 +4,10 @@ A test-only reference: ``simplify`` with its pass switches, the
 ``simplify_fixpoint`` loop that repeated it until the node count stopped
 shrinking, the helpers they call, and the recursive structural keys they
 compared by (``px_canonical_key``, ``_content_keys``,
-``_yields_top_text``), copied verbatim.  ``tests/test_simplify_differential.py``
+``_yields_top_text``), copied verbatim, except that ``_content_keys``
+keeps document order for content with text, as the program's key does
+(sorted, it merged possibilities whose worlds differ).
+``tests/test_simplify_differential.py``
 compares the program's :func:`repro.pxml.simplify.simplify` against
 ``simplify_fixpoint``; the program never imports this module.
 """
@@ -39,9 +42,10 @@ def _yields_top_text(node: ProbNode) -> bool:
 
 
 def _content_keys(children: Sequence[PXChild]) -> tuple:
-    """Sorted keys of a possibility's content, with *adjacent* text runs
-    merged first — text concatenation order is semantically meaningful
-    (it is what worlds see), element order is not."""
+    """Keys of a possibility's content, with *adjacent* text runs merged
+    first — text concatenation order is semantically meaningful (it is
+    what worlds see), element order is not: pure element content is
+    sorted."""
     merged: list[tuple] = []
     buffer: list[str] = []
     for child in children:
@@ -54,6 +58,10 @@ def _content_keys(children: Sequence[PXChild]) -> tuple:
             merged.append(px_canonical_key(child))
     if buffer:
         merged.append(("t", "".join(buffer)))
+    if any(key[0] == "t" for key in merged):
+        # A run at either end joins the text beside the possibility in a
+        # world, so content with text keeps document order.
+        return tuple(merged)
     return tuple(sorted(merged))
 
 

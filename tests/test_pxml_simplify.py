@@ -43,6 +43,23 @@ class TestMergeDuplicates:
         distribution = world_distribution(simplified)
         assert set(distribution.values()) == {Fraction(1, 2)}
 
+    def test_reordered_text_content_stays_apart(self):
+        # Text before the choice joins the leading "x" of the first
+        # possibility ("xx", <a>) but not the second's ("x", <a>, "x"):
+        # the same children in another order are different worlds.
+        node = choice_prob([
+            ("1/3", [PXText("x"), make_leaf("a", "1")]),
+            ("2/3", [make_leaf("a", "1"), PXText("x")]),
+        ])
+        root = PXElement("r", children=[certain_prob(PXText("x")), node])
+        doc = PXDocument(certain_prob(root))
+        simplified, report = simplify(doc)
+        assert report.duplicates_merged == 0
+        assert world_distribution(simplified) == world_distribution(doc)
+        assert sorted(world_distribution(doc).values()) == [
+            Fraction(1, 3), Fraction(2, 3)
+        ]
+
 
 class TestPruneZero:
     def test_zero_possibility_dropped(self):

@@ -15,6 +15,8 @@ enumeration (:func:`query_enumeration`) are the references.  Three parts:
   pass leaves no memo row.
 """
 
+import gc
+import threading
 import time
 from fractions import Fraction
 
@@ -322,3 +324,27 @@ class TestDeadline:
             entry.path.name == "treepass.py" for entry in raised.traceback
         ), "the deadline fired outside the pass"
         assert engine.cache_stats()["answers"] == 0
+
+    def test_active_deadline_keeps_older_objects_out_of_collections(self):
+        """While a deadline is active on any thread, the objects older
+        than the request are frozen, so no full collection walks them
+        inside the budget; the last scope to close unfreezes them."""
+        assert gc.get_freeze_count() == 0
+        opened, release = threading.Event(), threading.Event()
+
+        def other_request():
+            with active(Deadline.from_ms(60_000)):
+                opened.set()
+                release.wait(10)
+
+        other = threading.Thread(target=other_request)
+        with active(Deadline.from_ms(60_000)):
+            assert gc.get_freeze_count() > 0
+            with active(None):
+                assert gc.get_freeze_count() > 0
+            other.start()
+            assert opened.wait(10)
+        assert gc.get_freeze_count() > 0
+        release.set()
+        other.join(10)
+        assert gc.get_freeze_count() == 0
