@@ -17,7 +17,10 @@ small-conjunction rows warmed by the first pass answer the rest.
 Since the tree pass (``repro.query.treepass``) the bench also races it
 against the walk + kernel (``use_cache=False``) on ``//person/tel`` over
 the merged 4x4 address book, the integrated document whose answer events
-are single entangled components.
+are single entangled components.  A second leg races a predicate plan,
+``//person[nm="p0"]/tel``, whose anchors the pass prices by the engine's
+anchor-local walk, once per distinct person subtree: the record carries
+the document's person anchors and the local walks the pass made.
 
 Acceptance (asserted, after the JSON record is written so a noisy
 runner never loses the trajectory point):
@@ -29,7 +32,8 @@ runner never loses the trajectory point):
   Fraction-identical answers;
 * ≥ ``BENCH_TREE_PASS_FLOOR`` (default 5×) for the tree pass against
   the walk + kernel on the merged 4x4 book, Fraction-identical answers
-  with identical occurrence counts;
+  with identical occurrence counts (the predicate leg is checked for
+  identical answers only);
 * a 2,600-deep / 5,200-literal chain prices through the worklist
   evaluator without ``RecursionError`` (the PR-3 kernel cannot price it
   at all — that side is reported, not raced).
@@ -51,8 +55,8 @@ from repro.pxml.events_compile import (
 )
 from repro.pxml.events_cache import EventProbabilityCache
 from repro.pxml.events_reference import expansion_probability
-from repro.pxml.model import PXText
-from repro.query.engine import QueryEngine
+from repro.pxml.model import PXElement, PXText
+from repro.query.engine import ProbQueryEngine, QueryEngine
 
 from .conftest import format_table, write_bench_json, write_result
 
@@ -274,10 +278,11 @@ def test_compiled_corpus_fanout_speedup():
     )
 
 
-def test_tree_pass_speedup_on_merged_book():
+def test_tree_pass_speedup_on_merged_book(monkeypatch):
     """Acceptance: the tree pass prices ``//person/tel`` over the merged
     4x4 address book ≥ ``BENCH_TREE_PASS_FLOOR``× faster than the walk
-    + kernel, with Fraction-identical answers and occurrence counts.
+    + kernel, with Fraction-identical answers and occurrence counts; and
+    prices ``//person[nm="p0"]/tel`` there Fraction-identically too.
 
     Each pass round runs on a fresh event cache, so it measures the pass,
     not its memo; the walk + kernel side is ``use_cache=False``."""
@@ -292,31 +297,76 @@ def test_tree_pass_speedup_on_merged_book():
         dtd=ADDRESSBOOK_DTD,
     ).document
     query = "//person/tel"
+    predicate_query = '//person[nm="p0"]/tel'
 
     def snapshot(answer):
         return [(item.value, item.probability, item.occurrences) for item in answer]
 
-    def tree_pass():
+    def tree_pass(plan):
         return snapshot(
-            QueryEngine(document, cache=EventProbabilityCache()).query(query)
+            QueryEngine(document, cache=EventProbabilityCache()).query(plan)
         )
 
-    def walk_and_kernel():
-        return snapshot(QueryEngine(document, use_cache=False).query(query))
+    def walk_and_kernel(plan):
+        return snapshot(QueryEngine(document, use_cache=False).query(plan))
 
-    walk_time, walk_answer = _time_best_of(ROUNDS, walk_and_kernel)
-    pass_time, pass_answer = _time_best_of(ROUNDS, tree_pass)
+    walk_time, walk_answer = _time_best_of(ROUNDS, walk_and_kernel, query)
+    pass_time, pass_answer = _time_best_of(ROUNDS, tree_pass, query)
     speedup = walk_time / pass_time if pass_time else float("inf")
+    predicate_walk_time, predicate_walk_answer = _time_best_of(
+        ROUNDS, walk_and_kernel, predicate_query
+    )
+    predicate_pass_time, predicate_pass_answer = _time_best_of(
+        ROUNDS, tree_pass, predicate_query
+    )
+    predicate_speedup = (
+        predicate_walk_time / predicate_pass_time
+        if predicate_pass_time
+        else float("inf")
+    )
+
+    # Every person is an anchor of the predicate plan; the pass walks one
+    # per distinct person subtree.
+    anchors = sum(
+        1
+        for node in document.iter_prob_nodes()
+        for possibility in node.possibilities
+        for child in possibility.children
+        if isinstance(child, PXElement) and child.tag == "person"
+    )
+    local_walks = 0
+    local_answer = ProbQueryEngine._local_answer
+
+    def counted(self, *args):
+        nonlocal local_walks
+        local_walks += 1
+        return local_answer(self, *args)
+
+    monkeypatch.setattr(ProbQueryEngine, "_local_answer", counted)
+    tree_pass(predicate_query)
+    monkeypatch.undo()
 
     write_result(
         "bench_tree_pass",
-        f"Tree pass — {query} over the merged {persons}x{persons} address"
-        f" book (best of {ROUNDS}, fresh cache per round)\n"
+        f"Tree pass — over the merged {persons}x{persons} address book"
+        f" (best of {ROUNDS}, fresh cache per round)\n"
         + format_table(
-            ["leg", "time", "speedup"],
+            ["plan", "leg", "time", "speedup"],
             [
-                ["walk + kernel", f"{walk_time * 1e3:8.2f} ms", "1.0×"],
-                ["tree pass", f"{pass_time * 1e3:8.2f} ms", f"{speedup:.1f}×"],
+                [query, "walk + kernel", f"{walk_time * 1e3:8.2f} ms", "1.0×"],
+                [query, "tree pass", f"{pass_time * 1e3:8.2f} ms", f"{speedup:.1f}×"],
+                [
+                    predicate_query,
+                    "walk + kernel",
+                    f"{predicate_walk_time * 1e3:8.2f} ms",
+                    "1.0×",
+                ],
+                [
+                    predicate_query,
+                    f"tree pass ({local_walks} walks, {anchors} anchors)",
+                    f"{predicate_pass_time * 1e3:8.2f} ms",
+                    f"{predicate_speedup:.1f}×",
+                ],
             ],
         ),
     )
@@ -332,9 +382,21 @@ def test_tree_pass_speedup_on_merged_book():
             "speedup": speedup,
             "floor": TREE_PASS_FLOOR,
             "values": len(pass_answer),
+            "predicate": {
+                "query": predicate_query,
+                "walk_kernel_seconds": predicate_walk_time,
+                "tree_pass_seconds": predicate_pass_time,
+                "speedup": predicate_speedup,
+                "values": len(predicate_pass_answer),
+                "anchors": anchors,
+                "local_walks": local_walks,
+            },
         },
     )
     assert pass_answer == walk_answer, "tree pass disagrees with the walk + kernel"
+    assert predicate_pass_answer == predicate_walk_answer, (
+        "tree pass disagrees with the walk + kernel on the predicate plan"
+    )
     assert speedup >= TREE_PASS_FLOOR, (
         f"tree pass speedup {speedup:.1f}× below the"
         f" {TREE_PASS_FLOOR}× acceptance floor"

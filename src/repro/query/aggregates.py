@@ -610,22 +610,22 @@ def aggregate_distribution_enumerated(
     """
     spec = compile_aggregate(kind, target, text=text)
     xpath = XPath(f"//{spec.tag}")
+    # Only a text filter and the numeric kinds read the selected text.
+    reads_text = spec.text is not None or spec.kind not in ("count", "exists")
     distribution: AggregateDistribution = {}
     for world in iter_worlds(document, limit=limit):
         result = xpath.evaluate(world.document)
         if not isinstance(result, list):
             raise QueryError("aggregate queries must select nodes")
-        values = [
-            node.text().strip()
-            for node in result
-            if isinstance(node, XElement)
-        ]
+        selected = [node for node in result if isinstance(node, XElement)]
+        values = [node.text().strip() for node in selected] if reads_text else []
         if spec.text is not None:
             values = [value for value in values if value == spec.text]
+        size = len(values) if reads_text else len(selected)
         if spec.kind == "count":
-            key: AggregateKey = len(values)
+            key: AggregateKey = size
         elif spec.kind == "exists":
-            key = 1 if values else 0
+            key = 1 if size else 0
         else:
             numbers = [
                 _numeric(value, what=f"<{spec.tag}>") for value in values

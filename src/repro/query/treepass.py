@@ -37,6 +37,21 @@ counts add up over anchors, as the walk counts them.  An anchor inside
 another anchor's subtree would make two anchors' events dependent; the
 pass detects it while it traverses and returns ``None``, and the caller
 falls back to the walk.
+
+**Each distinct anchor subtree is priced once per pass.**  Integration
+copies a subtree into every possibility that keeps it, so an integrated
+document repeats its anchors many times over.  An anchor's contribution
+is a function of its subtree's structure alone: the anchor-local path
+never leaves the subtree, the anchor's existence is given, and choice
+nodes are independent, so which choice variables a copy carries does not
+matter.  The pass keys each anchor by its DP mask and an exact structure
+key of its subtree (:func:`_structure`); an anchor whose key the pass has
+already priced reuses that contribution and is not visited, walked or
+priced again.  The mask belongs to the key because it decides how the
+subtree is descended, and so whether a nested anchor is met: an equal key
+stands for a subtree already descended alike that held none.  Anchors
+priced in one pass are disjoint, so the key walks read each node at most
+once more.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
+from ..deadline import checkpoint
 from ..errors import QueryError
 from ..probability import ONE
 from ..pxml.events import product_of, weighted_sum
@@ -226,12 +242,58 @@ def _possibility_values(possibility: Possibility, elements: list[_Hits]) -> _Hit
 
 # -- the answer pass -----------------------------------------------------------
 
+#: An exact structure key of an element's subtree (:func:`_structure`).
+_Key = tuple[object, ...]
+
+
+def _structure(element: PXElement) -> _Key:
+    """A flat key of ``element``'s subtree, equal for two subtrees only if
+    they match node for node: tags, sorted attributes, text values,
+    possibility probabilities, and every node's children in order.
+
+    Each element contributes its attributes and its choice layer: per
+    probability node the possibility count, per possibility its
+    probability as an integer pair (a :class:`Fraction` hashes slowly)
+    and its child count, per child an element's tag, or ``None`` and a
+    text node's value.  The child elements' own parts follow, in
+    pre-order with siblings taken right to left.  Polls
+    :func:`~repro.deadline.checkpoint` once per probability node, as
+    :func:`~repro.pxml.treefold.fold_tree` does."""
+    key: list[object] = [element.tag]
+    push = key.append
+    stack = [element]
+    while stack:
+        node = stack.pop()
+        attributes = node.attributes
+        push(tuple(sorted(attributes.items())) if attributes else ())
+        push(len(node.children))
+        for prob in node.children:
+            checkpoint()
+            push(len(prob.possibilities))
+            for possibility in prob.possibilities:
+                push(possibility.prob.as_integer_ratio())
+                push(len(possibility.children))
+                for child in possibility.children:
+                    if isinstance(child, PXText):
+                        push(None)
+                        push(child.value)
+                    else:
+                        push(child.tag)
+                        stack.append(child)
+    return tuple(key)
+
+
 #: An element's role in the answer pass: above the anchors, with
 #: nothing matchable below, an anchor, or inside an anchor's subtree.
 _LIVE, _DEAD, _ANCHOR, _BELOW = range(4)
 
-#: (role, bitmask of the leading steps the element's children may match)
-_State = tuple[int, int]
+#: (role, bitmask of the leading steps the element's children may match,
+#: and for an anchor its memo key: that mask with the subtree's
+#: :func:`_structure`)
+_State = tuple[int, int, Optional[tuple[int, _Key]]]
+
+#: One anchor's contribution: its hit map and its value occurrences.
+_Priced = tuple[_Hits, dict[str, int]]
 
 
 class _NestedAnchors(Exception):
@@ -252,6 +314,9 @@ class _AnswerPass:
         #: value -> occurrences, summed over anchors.
         self.counts: dict[str, int] = {}
         self._moves: dict[tuple[int, str], tuple[bool, int]] = {}
+        #: memo key -> the contribution of the anchors priced under it;
+        #: its hit maps are shared with every parent that receives them.
+        self._priced: dict[tuple[int, _Key], _Priced] = {}
 
     def _move(self, active: int, tag: str) -> tuple[bool, int]:
         """(whether an element named ``tag`` under a node with ``active``
@@ -277,29 +342,41 @@ class _AnswerPass:
         return move
 
     def enter(self, element: PXElement, state: _State) -> tuple[_State, bool]:
-        role, active = state
+        role, active, _ = state
         anchor, below = self._move(active, element.tag)
         # A string-value anchor needs its whole subtree; otherwise only
         # subtrees that may still hold an anchor are visited.
         values = self.path is None
         if role == _LIVE:
             if anchor:
-                return (_ANCHOR, below), values or below != 0
+                # An anchor equal to one priced under the same mask
+                # contributes what that one did, and was descended alike
+                # without meeting a nested anchor: it is not visited.
+                key = (below, _structure(element))
+                descend = key not in self._priced and (values or below != 0)
+                return (_ANCHOR, below, key), descend
             if below == 0:
-                return (_DEAD, 0), False
-            return (_LIVE, below), True
+                return (_DEAD, 0, None), False
+            return (_LIVE, below, None), True
         if anchor:
             raise _NestedAnchors
-        return (_BELOW, below), values or below != 0
+        return (_BELOW, below, None), values or below != 0
 
     def element(
         self, element: PXElement, state: _State, children: list[_Hits]
     ) -> _Hits:
-        role = state[0]
+        role, _, key = state
         if role == _LIVE:
             return _either(children)
-        if role == _ANCHOR:
-            return self._anchor(element, children)
+        if key is not None:
+            priced = self._priced.get(key)
+            if priced is None:
+                priced = self._priced[key] = self._anchor(element, children)
+            hits, occurrences = priced
+            counts = self.counts
+            for value, count in occurrences.items():
+                counts[value] = counts.get(value, 0) + count
+            return hits
         if role == _BELOW and self.path is None:
             return _string_values(element, children)
         return {}
@@ -325,20 +402,21 @@ class _AnswerPass:
             )
         return {}
 
-    def _anchor(self, element: PXElement, children: list[_Hits]) -> _Hits:
-        counts = self.counts
+    def _anchor(self, element: PXElement, children: list[_Hits]) -> _Priced:
+        """One anchor's hit map and occurrence counts."""
         hits: _Hits = {}
+        counts: dict[str, int] = {}
         if self.path is None:
             for value, prob in _string_values(element, children).items():
                 if value:
                     hits[value] = prob
-                    counts[value] = counts.get(value, 0) + 1
-            return hits
+                    counts[value] = 1
+            return hits, counts
         for value, (prob, occurrences) in self.local(self.path, element).items():
-            counts[value] = counts.get(value, 0) + occurrences
+            counts[value] = occurrences
             if prob:
                 hits[value] = prob
-        return hits
+        return hits, counts
 
 
 def price_anchored(
@@ -366,7 +444,7 @@ def price_anchored(
         return priced
     fold = _AnswerPass(anchor, local)
     try:
-        hits = fold_tree(document.root, fold, (_LIVE, 1))
+        hits = fold_tree(document.root, fold, (_LIVE, 1, None))
     except _NestedAnchors:
         return None
     priced = {value: (prob, fold.counts[value]) for value, prob in hits.items()}

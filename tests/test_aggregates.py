@@ -13,6 +13,7 @@ from repro.pxml.model import PXDocument, PXElement
 from repro.pxml.worlds import world_count
 from repro.query.aggregates import (
     aggregate_distribution,
+    aggregate_distribution_enumerated,
     compile_aggregate,
     count_distribution,
     count_distribution_enumerated,
@@ -25,6 +26,7 @@ from repro.query.aggregates import (
     min_distribution,
     sum_distribution,
 )
+from repro.xmlkit.nodes import XElement
 from repro.xmlkit.parser import parse_document
 from .conftest import make_leaf, pxml_documents
 
@@ -265,6 +267,31 @@ class TestDeepDocuments:
         expected[depth] = half ** (depth - 1)
         assert distribution == expected
         assert sum(distribution.values()) == 1
+
+
+class TestEnumeratedReference:
+    def test_text_is_read_only_to_filter_or_add_up(self, monkeypatch):
+        """Per-world evaluation counts the selected elements without their
+        text: ``count`` and ``exists`` answer with ``XElement.text``
+        unusable, while ``sum`` and a filtered ``count`` still read it."""
+        doc = numeric_doc()
+        expected = {
+            kind: aggregate_distribution(doc, kind, "p") for kind in ("count", "exists")
+        }
+
+        class TextRead(Exception):
+            pass
+
+        def unreadable(self):
+            raise TextRead
+
+        monkeypatch.setattr(XElement, "text", unreadable)
+        for kind, distribution in expected.items():
+            assert aggregate_distribution_enumerated(doc, kind, "p") == distribution
+        with pytest.raises(TextRead):
+            aggregate_distribution_enumerated(doc, "sum", "p")
+        with pytest.raises(TextRead):
+            aggregate_distribution_enumerated(doc, "count", "p", text="4")
 
 
 class TestMoments:

@@ -11,6 +11,10 @@ enumeration (:func:`query_enumeration`) are the references.  Three parts:
   from 2x2 to 3x3, and the §VI movie document;
 * **fallback** — plans outside the pass's scope, and documents that nest
   one anchor inside another, take the walk and still agree;
+* **anchor memo** — the pass prices each distinct anchor subtree once, so
+  the copies integration makes of a person are walked once, and an
+  anchor that differs from a priced one in any single detail is priced
+  on its own;
 * **deadline** — a budget interrupts the pass itself, and an interrupted
   pass leaves no memo row.
 """
@@ -22,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import integrate
 from repro.core.rules import Decision, DeepEqualRule, LeafValueRule, PredicateRule
@@ -30,8 +35,9 @@ from repro.deadline import Deadline, active
 from repro.errors import DeadlineExceededError, QueryError
 from repro.experiments import section6_document
 from repro.pxml.build import certain_document, certain_prob, choice_prob
-from repro.pxml.model import PXDocument, PXElement, PXText
-from repro.query.engine import QueryEngine, query_enumeration
+from repro.pxml.model import PXDocument, PXElement, PXText, Possibility, ProbNode
+from repro.query import treepass
+from repro.query.engine import ProbQueryEngine, QueryEngine, query_enumeration
 from repro.query.plan import compile_plan
 from repro.query.treepass import MAX_VALUE_ALTERNATIVES
 from repro.xmlkit.parser import parse_document
@@ -305,6 +311,154 @@ class TestFallback:
         assert QueryEngine(document).cache_stats()["answers"] == 0
 
 
+# -- anchor memo -----------------------------------------------------------------
+
+#: The single change a near-duplicate anchor makes (see near_duplicate).
+CHANGES = [
+    "swapped siblings",
+    "probability",
+    "attribute",
+    "text",
+    "split text",
+    "text to element",
+    "swapped possibilities",
+]
+
+#: Plans over near-duplicate anchors: a string value, a text() step, an
+#: attribute predicate and a predicate on the anchor's string value.
+NEAR_DUPLICATE_PLANS = [
+    "//r",
+    "//r[b]/text()",
+    '//r[@k="x"]/b',
+    '//r[contains(., "12")]/b',
+]
+
+
+def count_local_walks(monkeypatch):
+    """Record the engine's anchor-local walks; returns the list each walk
+    appends its arguments to."""
+    walks = []
+    local_answer = ProbQueryEngine._local_answer
+
+    def counted(self, *args):
+        walks.append(args)
+        return local_answer(self, *args)
+
+    monkeypatch.setattr(ProbQueryEngine, "_local_answer", counted)
+    return walks
+
+
+def near_duplicate(change=None):
+    """``<r k="x">`` over ▽[<a>1</a> <b>2</b>] ▽[1/3: "3" | 2/3: "4"]
+    ▽["56"] ▽["b"], or a copy of it that makes one of :data:`CHANGES`.
+    Each change alters at least one answer of
+    :data:`NEAR_DUPLICATE_PLANS`."""
+    def leaf(tag, text):
+        return PXElement(tag, children=[certain_prob(PXText(text))])
+
+    siblings = [leaf("a", "7" if change == "text" else "1"), leaf("b", "2")]
+    if change == "swapped siblings":
+        siblings.reverse()
+    weights = (
+        [Fraction(1, 4), Fraction(3, 4)]
+        if change == "probability"
+        else [Fraction(1, 3), Fraction(2, 3)]
+    )
+    # Swapped possibilities trade their contents; the weights stay put.
+    contents = [[PXText("3")], [PXText("4")]]
+    if change == "swapped possibilities":
+        contents.reverse()
+    run = [PXText("5"), PXText("6")] if change == "split text" else [PXText("56")]
+    last = PXElement("b") if change == "text to element" else PXText("b")
+    return PXElement(
+        "r",
+        {"k": "z" if change == "attribute" else "x"},
+        [
+            certain_prob(siblings),
+            choice_prob(list(zip(weights, contents))),
+            certain_prob(run),
+            certain_prob(last),
+        ],
+    )
+
+
+class TestAnchorMemo:
+    def test_each_distinct_anchor_is_walked_once(self, monkeypatch):
+        """Integration copies every person into each matching it keeps:
+        the 141 person anchors of the 3x3 group hold 15 distinct
+        subtrees, and the pass walks each once."""
+        document = grouped_book([(3, 3)])
+        query = '//person[nm="n0"]/tel'
+        walks = count_local_walks(monkeypatch)
+        answer = QueryEngine(document).query(query)
+        assert len(walks) == 15
+        assert snapshot(answer) == snapshot(
+            QueryEngine(document, use_cache=False).query(query)
+        )
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_a_near_duplicate_is_priced_on_its_own(self, change, monkeypatch):
+        """A choice holds an anchor, a copy of it with one change, and the
+        original again: the pass walks the first two and reuses the
+        first for the third, and answers as the walk does."""
+        document = PXDocument(
+            certain_prob(
+                PXElement(
+                    "doc",
+                    children=[
+                        choice_prob(
+                            [
+                                (Fraction(1, 2), [near_duplicate()]),
+                                (Fraction(1, 3), [near_duplicate(change)]),
+                                (Fraction(1, 6), [near_duplicate()]),
+                            ]
+                        )
+                    ],
+                )
+            )
+        )
+        walks = count_local_walks(monkeypatch)
+        for query in NEAR_DUPLICATE_PLANS:
+            engine = QueryEngine(document)
+            walks.clear()
+            answer = engine.query(query)
+            assert priced_by_pass(engine, query), query
+            assert len(walks) == (0 if query == "//r" else 2), query
+            assert snapshot(answer) == snapshot(
+                QueryEngine(document, use_cache=False).query(query)
+            ), query
+
+    @given(
+        document=pxml_documents(),
+        weights=st.sampled_from(
+            [
+                (Fraction(1, 2), Fraction(1, 2)),
+                (Fraction(1, 3), Fraction(2, 3)),
+                (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+            ]
+        ),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_random_documents_under_a_choice_of_copies(self, document, weights):
+        """A root choice between copies of one random document, each
+        under its own ``<x>``: equal anchors recur in every copy."""
+        root = ProbNode(
+            [
+                Possibility(weight, [PXElement("x", children=[document.root.copy()])])
+                for weight in weights
+            ]
+        )
+        copies = PXDocument(root)
+        for query in RANDOM_PLANS:
+            assert snapshot(QueryEngine(copies).query(query)) == snapshot(
+                QueryEngine(copies, use_cache=False).query(query)
+            ), query
+
+
 # -- deadline --------------------------------------------------------------------
 
 class TestDeadline:
@@ -323,6 +477,26 @@ class TestDeadline:
         assert any(
             entry.path.name == "treepass.py" for entry in raised.traceback
         ), "the deadline fired outside the pass"
+        assert engine.cache_stats()["answers"] == 0
+
+    def test_deadline_inside_a_key_walk(self, monkeypatch):
+        """The plan's one anchor is the whole document: the deadline
+        fires in the walk that keys it, surfaces from the pass, and
+        leaves no memo row."""
+        document = grouped_book([(2, 3)])
+        query = "/addressbook[person]/person/nm"
+
+        def expired():
+            raise DeadlineExceededError("deadline exceeded in a key walk")
+
+        monkeypatch.setattr(treepass, "checkpoint", expired)
+        engine = QueryEngine(document)
+        with pytest.raises(DeadlineExceededError) as raised:
+            engine.query(query)
+        frames = [entry.name for entry in raised.traceback]
+        assert frames[-2:] == ["_structure", "expired"], frames
+        assert "price_anchored" in frames
+        assert not priced_by_pass(engine, query)
         assert engine.cache_stats()["answers"] == 0
 
     def test_active_deadline_keeps_older_objects_out_of_collections(self):
