@@ -15,15 +15,23 @@ Acceptance (ISSUE 7):
   — under *both* strategies, served without building an engine;
 * the fused results round-trip exactly over the ``"num/den"`` wire
   format (encode → JSON → decode is the identity).
+
+The warm leg also splits a fan-out into the layers it crosses and
+records each one's per-fan-out median in ``BENCH_fusion.json``: the
+12 persisted row hits, ``fuse_answers`` over them, and the wire round
+trip of the fused result (encode → JSON → decode).
 """
 
 import json
 import os
+import statistics
 import time
 
 from repro.core.rules import DeepEqualRule, LeafValueRule
 from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.dbms.service import DataspaceService
+from repro.query.fusion import fuse_answers
+from repro.query.plan import compile_plan
 from repro.server.wire import decode_fused_answer, encode_fused_answer
 
 from .conftest import format_table, write_bench_json, write_result
@@ -86,6 +94,32 @@ def _run_workload(service, rounds):
     return fused
 
 
+def _warm_layers(service, rounds, expected):
+    """Per-fan-out medians (seconds) of the layers a warm fan-out
+    crosses, timed one after another as ``query_all`` runs them: the
+    per-document row hits, ``fuse_answers``, and the fused result's
+    wire round trip.  Each fused result must equal ``expected``'s."""
+    names = service.store.list()
+    samples = {"row_hits": [], "fuse_answers": [], "wire_round_trip": []}
+    for _ in range(rounds):
+        for (expression, strategy), reference in zip(WORKLOAD, expected):
+            plan = compile_plan(expression)
+            start = time.perf_counter()
+            answers = {name: service.query(name, plan) for name in names}
+            hits_done = time.perf_counter()
+            fused = fuse_answers(answers, strategy=strategy)
+            fused_done = time.perf_counter()
+            decoded = decode_fused_answer(
+                json.loads(json.dumps(encode_fused_answer(fused)))
+            )
+            end = time.perf_counter()
+            assert fused == reference and decoded == reference
+            samples["row_hits"].append(hits_done - start)
+            samples["fuse_answers"].append(fused_done - hits_done)
+            samples["wire_round_trip"].append(end - fused_done)
+    return {layer: statistics.median(times) for layer, times in samples.items()}
+
+
 def test_warm_fan_out_vs_cold(tmp_path):
     """Acceptance: a restarted service serves the fan-out workload ≥ 5×
     faster (per fan-out) from the persisted per-document rows than the
@@ -109,6 +143,7 @@ def test_warm_fan_out_vs_cold(tmp_path):
         warm_fused = _run_workload(warm, ROUNDS)
         warm_time = time.perf_counter() - start
         warm_stats = warm.cache_stats()
+        layers = _warm_layers(warm, ROUNDS, cold_fused[0])
     warm_per_op = warm_time / (ROUNDS * len(WORKLOAD))
 
     # Exact agreement: strategy, scores, membership order, weights and
@@ -146,6 +181,8 @@ def test_warm_fan_out_vs_cold(tmp_path):
                  f"{warm_per_op * 1e3:6.2f} ms", f"{speedup:.1f}×"],
             ],
         )
+        + "\nwarm fan-out by layer (median per fan-out): "
+        + ", ".join(f"{layer} {seconds * 1e3:.3f} ms" for layer, seconds in layers.items())
         + f"\ncold stats: {cold_stats}\nwarm stats: {warm_stats}",
     )
     write_bench_json(
@@ -159,6 +196,7 @@ def test_warm_fan_out_vs_cold(tmp_path):
             "warm_seconds": warm_time,
             "cold_per_fan_out_seconds": cold_per_op,
             "warm_per_fan_out_seconds": warm_per_op,
+            "warm_layer_median_seconds": layers,
             "speedup": speedup,
             "floor": FUSION_SPEEDUP_FLOOR,
             "cold_stats": cold_stats,

@@ -65,6 +65,11 @@ rebuilt at the path.
 * :meth:`~AnswerCacheStore._connect_locked` is the one connect: it sets
   ``busy_timeout``, switches to WAL and creates the tables under the
   busy budget, restarts recency from the file's clock, records the inode.
+  It also sets ``synchronous=NORMAL``, so a commit does not fsync the
+  WAL.  An OS crash may then lose the newest commits, never the file's
+  integrity.  A lost row is recomputed on its next miss, and content
+  addressing keeps a stale row off new content.  (The documents the rows
+  derive from are not fsynced either.)
 * :meth:`~AnswerCacheStore._enter_locked` is the one entry check: a
   closed store raises :class:`~repro.errors.StoreError`; a moved inode
   (a sibling's quarantine swap) reconnects, so the sibling joins the
@@ -215,7 +220,7 @@ def encode_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decode_fraction(text: str) -> Fraction:
+def decode_fraction(text: object) -> Fraction:
     """Inverse of :func:`encode_fraction`; strict.
 
     Raises :class:`~repro.errors.WireFormatError` on anything but
@@ -235,6 +240,26 @@ def decode_fraction(text: str) -> Fraction:
         raise WireFormatError(f"malformed fraction {text!r}: zero denominator") from None
 
 
+def fraction_decoder() -> Callable[[object], Fraction]:
+    """:func:`decode_fraction` for one payload: each distinct string is
+    parsed once.  A payload's probabilities repeat (tied answers, one
+    document's probability across fused values), and each parse runs a
+    regex, two ``int`` conversions and a gcd.  The memo is keyed by the
+    raw string only, so every entry is still checked, and malformed
+    input raises what :func:`decode_fraction` raises."""
+    parsed: dict[str, Fraction] = {}
+
+    def decode(text: object) -> Fraction:
+        if not isinstance(text, str):
+            return decode_fraction(text)  # raises: not a string
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = decode_fraction(text)
+        return value
+
+    return decode
+
+
 def encode_answer(answer: RankedAnswer) -> list[list[object]]:
     """Wire form of a ranked answer: ``[[value, "num/den", occurrences],
     ...]`` — JSON-ready, order-preserving, exact."""
@@ -246,11 +271,13 @@ def encode_answer(answer: RankedAnswer) -> list[list[object]]:
 
 def decode_answer(payload: object) -> RankedAnswer:
     """Inverse of :func:`encode_answer`; strict (see
-    :func:`decode_fraction`)."""
+    :func:`decode_fraction`; each distinct fraction string is parsed
+    once, see :func:`fraction_decoder`)."""
     if not isinstance(payload, list):
         raise WireFormatError(
             f"answer payload must be a list, got {type(payload).__name__}"
         )
+    fraction_of = fraction_decoder()
     items: list[RankedItem] = []
     for entry in payload:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -259,7 +286,7 @@ def decode_answer(payload: object) -> RankedAnswer:
         if not isinstance(value, str) or not isinstance(occurrences, int) \
                 or isinstance(occurrences, bool):
             raise WireFormatError(f"malformed answer item {entry!r}")
-        items.append(RankedItem(value, decode_fraction(fraction), occurrences))
+        items.append(RankedItem(value, fraction_of(fraction), occurrences))
     return RankedAnswer(items)
 
 
@@ -470,11 +497,12 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
 
     def _connect_locked(self) -> None:
         """The one connect routine (caller holds the lock): open a handle
-        on ``self.path``, set ``busy_timeout``, switch to WAL and create
-        the tables — both under the busy budget — restart recency from
-        the file's clock, and record the inode last (before the tables
-        exist the file may not be on disk yet).  Corruption met on the
-        way propagates to :meth:`_open_locked`."""
+        on ``self.path``, set ``busy_timeout``, switch to WAL with
+        ``synchronous=NORMAL`` and create the tables — both under the
+        busy budget — restart recency from the file's clock, and record
+        the inode last (before the tables exist the file may not be on
+        disk yet).  Corruption met on the way propagates to
+        :meth:`_open_locked`."""
         self._inode = None
         # isolation_level=None: the connection stays in autocommit and
         # *this module* frames every write as an explicit BEGIN IMMEDIATE
@@ -490,6 +518,9 @@ class AnswerCacheStore:  # impreciselint: guarded-by=_lock
         # a write transaction: the retry loop's backoff absorbs that.
         self._conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_ms)}")
         self._retry_locked(partial(self._conn.execute, "PRAGMA journal_mode=WAL"))
+        # Commits do not fsync the WAL: an OS crash may lose the newest
+        # rows, which are recomputed, but never corrupts the file.
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._write_txn_locked(self._create_tables_locked)
         self._touches.clear()
         self._clock = self._file_clock_locked()

@@ -10,7 +10,7 @@ API boundaries and converted, and only turned back into floats for display.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import ProbabilityError
 
@@ -65,6 +65,34 @@ def as_probability(value: ProbLike, *, allow_zero: bool = True) -> Fraction:
     if numerator == 0 and not allow_zero:
         raise ProbabilityError("probability must be strictly positive")
     return prob
+
+
+def exact_order_key(values: Iterable[Fraction]) -> Callable[[Fraction], int]:
+    """An integer sort key that orders the Fractions of one sort exactly.
+
+    ``key(p)`` is ``⌊p · 2^shift⌋``, where ``shift`` is twice the bit
+    length of the largest denominator among ``values``.  Two different
+    fractions ``a < b`` among them differ by at least ``1/(d_a · d_b)``,
+    which is more than ``2^-shift``, so ``key(a) < key(b)``: the keys
+    order the values exactly and are equal only for equal values.  A
+    sort on them compares ints, never calling Fraction's comparisons
+    (each runs the ``numbers.Rational`` checks), and a key stays linear
+    in the input where one over the common denominator would grow with
+    the product of the distinct coprime denominators.
+
+    The key is exact only for the ``values`` it was built from: pass
+    every Fraction of the sort (materialize the items first).
+
+    >>> key = exact_order_key([Fraction(1, 3), Fraction(1, 2)])
+    >>> key(Fraction(1, 3)) < key(Fraction(1, 2))
+    True
+    """
+    shift = 2 * max((value.denominator.bit_length() for value in values), default=0)
+
+    def key(value: Fraction) -> int:
+        return (value.numerator << shift) // value.denominator
+
+    return key
 
 
 def format_probability(prob: Fraction, *, digits: int = 4) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from ..errors import ExplosionError
-from ..probability import ONE
+from ..probability import ONE, exact_order_key
 from ..xmlkit.nodes import XChild, XDocument, XElement, XText, canonical_key
 from .model import (
     PXDocument,
@@ -78,13 +78,23 @@ def _combine(node: _PXNode, ways: list, parts: list, limit: Optional[int]) -> li
     combination, the first child's ways varying slowest."""
     for results in parts:
         combined = (
-            (items + more, prob * more_prob)
+            (items + more, _times(prob, more_prob))
             for items, prob in ways
             for more, more_prob in results
         )
         ways = list(itertools.islice(combined, None if limit is None else limit + 1))
         _guard(node, len(ways), limit)
     return ways
+
+
+def _times(prob: Fraction, more_prob: Fraction) -> Fraction:
+    """``prob · more_prob``, skipping the multiplication when a factor is
+    1 (most ways are certain: a text or a certain child)."""
+    if more_prob == 1:
+        return prob
+    if prob == 1:
+        return more_prob
+    return prob * more_prob
 
 
 def _placed(child: XChild) -> XChild:
@@ -128,7 +138,9 @@ def distinct_worlds(
     document: PXDocument, *, limit: Optional[int] = DEFAULT_WORLD_LIMIT
 ) -> list[tuple[XDocument, Fraction]]:
     """Worlds merged by document equality (order-insensitive), with summed
-    probabilities, most probable first."""
+    probabilities, most probable first; equal probabilities keep the
+    order their first world was enumerated in, so a budget that cuts
+    through a tie keeps the same worlds on every run."""
     merged: dict[tuple, tuple[XDocument, Fraction]] = {}
     for world in iter_worlds(document, limit=limit):
         key = canonical_key(world.document.root)
@@ -137,4 +149,7 @@ def distinct_worlds(
             merged[key] = (doc, prob + world.probability)
         else:
             merged[key] = (world.document, world.probability)
-    return sorted(merged.values(), key=lambda pair: (-pair[1], id(pair[0])))
+    worlds = list(merged.values())
+    order = exact_order_key(prob for _, prob in worlds)
+    worlds.sort(key=lambda pair: -order(pair[1]))  # stable: ties stay put
+    return worlds

@@ -46,7 +46,15 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ..errors import QueryError
-from ..probability import ONE, ZERO, as_probability, format_percent, normalize
+from ..probability import (
+    ONE,
+    ZERO,
+    as_probability,
+    exact_order_key,
+    format_percent,
+    normalize,
+)
+from ..pxml.events import weighted_sum
 from .aggregates import AggregateDistribution
 from .ranking import RankedAnswer
 
@@ -297,26 +305,37 @@ def fuse_answers(
     names = sorted(answers)
     prior = fusion_weights(names, weights)
     k = _as_rank_offset(rrf_k) if strategy == "rrf" else None
-    scores: dict[str, Fraction] = {}
+    # rrf's gain at each local rank, 1 / (k + rank), made once per rank.
+    reciprocals: list[Fraction] = []
+    if k is not None:
+        longest = max(len(answers[name].items) for name in names)
+        for rank in range(1, longest + 1):
+            depth = k + rank  # > 0: k >= 0 and ranks are 1-based
+            reciprocals.append(Fraction(depth.denominator, depth.numerator))
+    # Each value's (weight, gain) terms, priced once below by
+    # weighted_sum: integer adds over a running common denominator and
+    # one normalization per value.
+    terms: dict[str, tuple[list[Fraction], list[Fraction]]] = {}
     sources: dict[str, list[DocumentContribution]] = {}
     for name in names:
         weight = prior[name]
         for rank, item in enumerate(answers[name].items, start=1):
-            if strategy == "prob":
-                gain = weight * item.probability
-            else:
-                assert k is not None
-                depth = k + rank  # > 0: k >= 0 and ranks are 1-based
-                gain = weight * Fraction(depth.denominator, depth.numerator)
-            scores[item.value] = scores.get(item.value, ZERO) + gain
-            sources.setdefault(item.value, []).append(
+            gain = item.probability if k is None else reciprocals[rank - 1]
+            entry = terms.get(item.value)
+            if entry is None:
+                entry = terms[item.value] = ([], [])
+                sources[item.value] = []
+            entry[0].append(weight)
+            entry[1].append(gain)
+            sources[item.value].append(
                 DocumentContribution(name, rank, item.probability)
             )
     items = [
-        FusedItem(value, score, tuple(sources[value]))
-        for value, score in scores.items()
+        FusedItem(value, weighted_sum(*entry), tuple(sources[value]))
+        for value, entry in terms.items()
     ]
-    items.sort(key=lambda item: (-item.score, item.value))
+    key = exact_order_key(item.score for item in items)
+    items.sort(key=lambda item: (-key(item.score), item.value))
     return FusedAnswer(
         strategy=strategy,
         items=items,

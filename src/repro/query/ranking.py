@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..probability import ProbLike, as_probability, format_percent
+from ..probability import (
+    ProbLike,
+    as_probability,
+    exact_order_key,
+    format_percent,
+)
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,8 @@ class RankedAnswer:
     items: list[RankedItem] = field(default_factory=list)
 
     def __post_init__(self):
-        self.items.sort(key=lambda item: (-item.probability, item.value))
+        key = exact_order_key(item.probability for item in self.items)
+        self.items.sort(key=lambda item: (-key(item.probability), item.value))
 
     def __iter__(self) -> Iterator[RankedItem]:
         return iter(self.items)

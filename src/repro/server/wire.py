@@ -48,6 +48,7 @@ from ..dbms.cache_store import (
     encode_aggregate_distribution,
     encode_answer,
     encode_fraction,
+    fraction_decoder,
 )
 from ..errors import WireFormatError
 from ..feedback.conditioning import FeedbackStep
@@ -141,11 +142,15 @@ def encode_fused_answer(fused: FusedAnswer) -> dict[str, object]:
 
 
 def decode_fused_answer(payload: object) -> FusedAnswer:
-    """Inverse of :func:`encode_fused_answer`; strict."""
+    """Inverse of :func:`encode_fused_answer`; strict.  Each distinct
+    fraction string is parsed once (the sources repeat each document's
+    local probabilities; see
+    :func:`~repro.dbms.cache_store.fraction_decoder`)."""
     if not isinstance(payload, dict):
         raise WireFormatError(
             f"fused answer must be an object, got {type(payload).__name__}"
         )
+    fraction_of = fraction_decoder()
     try:
         strategy = _require_str(payload["strategy"], "strategy")
         if strategy not in FUSION_STRATEGIES:
@@ -163,7 +168,7 @@ def decode_fused_answer(payload: object) -> FusedAnswer:
     if not isinstance(raw_weights, dict):
         raise WireFormatError(f"weights must be an object, got {raw_weights!r}")
     weights = {
-        _require_str(name, "weight name"): decode_fraction(weight)
+        _require_str(name, "weight name"): fraction_of(weight)
         for name, weight in raw_weights.items()
     }
     if not isinstance(raw_items, list):
@@ -174,7 +179,7 @@ def decode_fused_answer(payload: object) -> FusedAnswer:
             raise WireFormatError(f"malformed fused item {entry!r}")
         try:
             value = _require_str(entry["value"], "value")
-            score = decode_fraction(entry["score"])
+            score = fraction_of(entry["score"])
             raw_sources = entry["sources"]
         except KeyError as missing:
             raise WireFormatError(
@@ -193,11 +198,11 @@ def decode_fused_answer(payload: object) -> FusedAnswer:
                 DocumentContribution(
                     document=_require_str(triple[0], "source document"),
                     rank=_require_int(triple[1], "source rank"),
-                    probability=decode_fraction(triple[2]),
+                    probability=fraction_of(triple[2]),
                 )
             )
         items.append(FusedItem(value, score, tuple(sources)))
-    rrf_k = decode_fraction(payload["k"]) if "k" in payload else None
+    rrf_k = fraction_of(payload["k"]) if "k" in payload else None
     omitted: tuple[str, ...] = ()
     if "omitted" in payload:
         raw_omitted = payload["omitted"]

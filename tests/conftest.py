@@ -135,6 +135,46 @@ def source_pairs(draw):
 
 # -- deep documents -------------------------------------------------------------
 
+#: Distinct large primes (the Mersenne primes below 2^130): pairwise
+#: coprime denominators, the case a common-denominator key explodes on.
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+@st.composite
+def keyed_fractions(draw, max_size: int = 40):
+    """Lists of ``(value, Fraction)`` pairs for ordering tests: repeated
+    Fractions, 0, negative numerators, denominators up to 2^130 and over
+    distinct large primes, plus the closest pair two of those primes
+    allow (``n/p`` and ``n/p + 1/(p·q)``)."""
+    small = st.builds(
+        Fraction, st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=1, max_value=20),
+    )
+    wide = st.builds(
+        Fraction, st.integers(min_value=-(2**131), max_value=2**131),
+        st.integers(min_value=1, max_value=2**130),
+    )
+    over_prime = st.builds(
+        Fraction, st.integers(min_value=-(2**128), max_value=2**128),
+        st.sampled_from(LARGE_PRIMES),
+    )
+    pool = draw(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), small, wide, over_prime),
+            min_size=1, max_size=10,
+        )
+    )
+    p, q = draw(st.lists(st.sampled_from(LARGE_PRIMES), min_size=2, max_size=2, unique=True))
+    n = draw(st.integers(min_value=-p, max_value=p))
+    pool += [Fraction(n, p), Fraction(n * q + 1, p * q)]
+    return draw(
+        st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from(pool)),
+            max_size=max_size,
+        )
+    )
+
+
 def nested_xml(depth: int) -> str:
     """Compact XML text of ``depth`` nested ``<a>`` elements."""
     return "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)

@@ -394,6 +394,28 @@ class TestBusyHandling:
         assert row[0] == 123
         store.close()
 
+    def test_commits_do_not_fsync(self, tmp_path):
+        """WAL with synchronous=NORMAL (1) on every connection the one
+        connect routine makes: a fresh store, the file rebuilt after a
+        quarantine, and the file a sibling swapped in."""
+        from repro.testing.faults import corrupt_sqlite_file
+
+        def synchronous(store):
+            return store._conn.execute("PRAGMA synchronous").fetchone()[0]
+
+        store = AnswerCacheStore(tmp_path / "cache")
+        assert synchronous(store) == 1
+        corrupt_sqlite_file(store.path)
+        store.invalidate_document("doc")
+        assert store.recoveries == 1
+        assert synchronous(store) == 1
+        store.path.rename(store.path.with_name(store.path.name + ".corrupt-9"))
+        AnswerCacheStore(tmp_path / "cache").close()  # the sibling's rebuild
+        assert store.version("doc") == 0
+        assert store.recoveries == 2
+        assert synchronous(store) == 1
+        store.close()
+
     def test_held_write_lock_raises_typed_error(self, tmp_path):
         """A sibling holding the write lock past the whole retry budget
         surfaces CacheBusyError (a StoreError), never the raw sqlite3

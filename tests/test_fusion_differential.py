@@ -38,6 +38,7 @@ from repro.query.fusion import (
 )
 from repro.query.aggregates import aggregate_distribution_enumerated
 from repro.query.ranking import RankedAnswer, RankedItem
+from .conftest import LARGE_PRIMES
 
 WORLD_LIMIT = 300
 
@@ -147,6 +148,36 @@ def sparse_weights(draw, names):
     }
 
 
+@st.composite
+def wide_fanouts(draw):
+    """Fan-outs whose probabilities come from a small pool (so many
+    values tie, within and across documents) over large coprime
+    denominators, including the closest pair two of them allow."""
+    p, q = draw(st.lists(st.sampled_from(LARGE_PRIMES), min_size=2, max_size=2, unique=True))
+    n = draw(st.integers(min_value=1, max_value=p - 1))
+    pool = [Fraction(n, p), Fraction(n * q + 1, p * q), ONE, Fraction(1, 2)]
+    pool += draw(
+        st.lists(
+            st.builds(
+                lambda prime, share: Fraction(share % prime + 1, prime),
+                st.sampled_from(LARGE_PRIMES),
+                st.integers(min_value=0, max_value=2**130),
+            ),
+            max_size=3,
+        )
+    )
+    names = draw(
+        st.lists(st.sampled_from(DOCUMENTS), min_size=1, max_size=len(DOCUMENTS), unique=True)
+    )
+    answers = {}
+    for name in names:
+        values = draw(st.lists(st.sampled_from(VALUES), max_size=len(VALUES), unique=True))
+        answers[name] = RankedAnswer(
+            [RankedItem(value, draw(st.sampled_from(pool))) for value in values]
+        )
+    return answers
+
+
 # -- property tests: strategies vs references ---------------------------------
 
 
@@ -180,6 +211,38 @@ class TestAgainstReference:
         assert sum(weights.values()) == ONE
         fused = fuse_answers(answers, weights=raw)
         assert_matches_reference(fused, answers, weights, strategy="prob")
+
+
+class TestWideDenominators:
+    """Ties and large coprime denominators: fused scores stay exact and
+    the fused order is the Fraction sort's, under both strategies."""
+
+    @given(wide_fanouts())
+    @settings(max_examples=150, deadline=None)
+    @seed(20261020)
+    def test_prob_matches_brute_force(self, answers):
+        fused = fuse_answers(answers, strategy="prob")
+        weights = fusion_weights(sorted(answers))
+        assert_matches_reference(fused, answers, weights, strategy="prob")
+
+    @given(wide_fanouts(), st.integers(min_value=0, max_value=100))
+    @settings(max_examples=150, deadline=None)
+    @seed(20261021)
+    def test_rrf_matches_naive(self, answers, k):
+        fused = fuse_answers(answers, strategy="rrf", rrf_k=k)
+        weights = fusion_weights(sorted(answers))
+        assert_matches_reference(fused, answers, weights, strategy="rrf", k=k)
+
+    @given(wide_fanouts())
+    @settings(max_examples=100, deadline=None)
+    @seed(20261022)
+    def test_weighted_over_a_large_prime(self, answers):
+        names = sorted(answers)
+        raw = {names[0]: Fraction(LARGE_PRIMES[0], LARGE_PRIMES[1])}
+        weights = fusion_weights(names, raw)
+        for strategy in FUSION_STRATEGIES:
+            fused = fuse_answers(answers, strategy=strategy, weights=raw)
+            assert_matches_reference(fused, answers, weights, strategy=strategy)
 
 
 class TestInvariants:

@@ -1,5 +1,6 @@
 """Tests for incremental (multi-source) integration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.rules import DeepEqualRule, LeafValueRule
 from repro.data.addressbook import ADDRESSBOOK_DTD, addressbook_documents
 from repro.errors import IntegrationError
 from repro.pxml.model import validate_document
+from repro.pxml.serialize import pxml_to_text
 from repro.pxml.worlds import distinct_worlds, world_count
 from repro.xmlkit.nodes import canonical_key
 from repro.xmlkit.parser import parse_document
@@ -89,6 +91,25 @@ class TestBudget:
         # The approximate posterior is still a proper distribution.
         total = sum(p for _, p in distinct_worlds(integrator.document, limit=None))
         assert total == 1
+
+    def test_a_budget_through_a_tie_keeps_the_same_worlds(self):
+        """After the second source the worlds are at 1/2, 1/4 and 1/4, so
+        a budget of 2 keeps one of the tied pair.  It is the first one
+        enumerated whatever the heap looks like, so every run folds the
+        third source into the same worlds."""
+        sources = [book(("John", "1111")), book(("John", "2222")),
+                   book(("John", "3333"))]
+        rng = random.Random(20261020)
+        texts = set()
+        held = []
+        for _ in range(12):
+            churn = [book(("Ann", str(i))) for i in range(rng.randrange(20, 200))]
+            rng.shuffle(churn)
+            held.append(churn[: len(churn) // 2])
+            document, history = integrate_many(sources, config(), world_budget=2)
+            assert history[-1].worlds_retained == 2
+            texts.add(pxml_to_text(document))
+        assert len(texts) == 1
 
     def test_zero_budget_rejected(self):
         integrator = IncrementalIntegrator(config=config(), world_budget=0)

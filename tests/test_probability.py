@@ -3,16 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProbabilityError
 from repro.probability import (
     as_probability,
     check_distribution,
+    exact_order_key,
     format_percent,
     format_probability,
     normalize,
 )
+from .conftest import keyed_fractions
 
 
 class TestAsProbability:
@@ -139,3 +141,33 @@ class TestCheckDistribution:
     def test_rejects_empty(self):
         with pytest.raises(ProbabilityError):
             check_distribution([])
+
+
+class TestExactOrderKey:
+    """The integer key orders exactly as Fraction comparisons do."""
+
+    @given(keyed_fractions())
+    @settings(max_examples=400, deadline=None)
+    def test_sort_matches_the_fraction_sort(self, items):
+        key = exact_order_key(prob for _, prob in items)
+        assert sorted(items, key=lambda pair: (-key(pair[1]), pair[0])) == sorted(
+            items, key=lambda pair: (-pair[1], pair[0])
+        )
+
+    @given(keyed_fractions(max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_keys_are_equal_exactly_when_the_fractions_are(self, items):
+        values = [prob for _, prob in items]
+        key = exact_order_key(values)
+        for a in values:
+            for b in values:
+                assert (key(a) == key(b)) == (a == b)
+                assert (key(a) < key(b)) == (a < b)
+
+    def test_ties_zero_and_negatives(self):
+        values = [Fraction(-1, 3), Fraction(0), Fraction(2, 6), Fraction(1, 3), Fraction(-2, 6)]
+        key = exact_order_key(values)
+        assert [key(value) for value in values] == [
+            key(Fraction(-1, 3)), 0, key(Fraction(1, 3)), key(Fraction(1, 3)), key(Fraction(-1, 3))
+        ]
+        assert key(Fraction(-1, 3)) < 0 < key(Fraction(1, 3))

@@ -1,5 +1,6 @@
 """Tests for possible-world enumeration and counting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,22 @@ from repro.pxml.model import PXDocument, PXElement, PXText, Possibility, ProbNod
 from repro.pxml.worlds import distinct_worlds, iter_worlds, world_count
 from repro.xmlkit.serializer import serialize
 from .conftest import make_leaf, pxml_documents
+
+
+def churn_heap(rng):
+    """Allocate and free objects of the sizes worlds use, in a seeded
+    random order, so later allocations land at shifted addresses."""
+    held = [[make_leaf("a", str(i))] for i in range(rng.randrange(50, 400))]
+    rng.shuffle(held)
+    del held[: len(held) // 2]
+    return held
+
+
+def four_way_tie_doc():
+    """Two independent 1/2-1/2 choices: four distinct worlds at 1/4."""
+    c1 = choice_prob([("1/2", [make_leaf("a", "1")]), ("1/2", [make_leaf("a", "2")])])
+    c2 = choice_prob([("1/2", [make_leaf("b", "1")]), ("1/2", [make_leaf("b", "2")])])
+    return PXDocument(certain_prob(PXElement("r", children=[c1, c2])))
 
 
 def two_choice_doc():
@@ -98,3 +115,30 @@ class TestDistinctWorlds:
     def test_distinct_mass_is_one(self, doc):
         if world_count(doc) <= 300:
             assert sum(prob for _, prob in distinct_worlds(doc, limit=None)) == 1
+
+    def test_ties_keep_enumeration_order_across_calls(self):
+        """Equal probabilities never fall back on memory addresses: with
+        the heap churned between calls, every call returns the 4-way tie
+        in the order the worlds were enumerated."""
+        doc = four_way_tie_doc()
+        enumerated = [serialize(world.document) for world in iter_worlds(doc)]
+        rng = random.Random(20261020)
+        orders = set()
+        keep = []
+        for _ in range(30):
+            keep.append(churn_heap(rng))
+            orders.add(tuple(serialize(world) for world, _ in distinct_worlds(doc)))
+        assert orders == {tuple(enumerated)}
+
+    def test_order_is_descending_then_enumeration(self):
+        c1 = choice_prob([("1/3", [make_leaf("a", "1")]), ("2/3", [make_leaf("a", "2")])])
+        c2 = choice_prob([("1/2", [make_leaf("b", "1")]), ("1/2", [make_leaf("b", "2")])])
+        doc = PXDocument(certain_prob(PXElement("r", children=[c1, c2])))
+        worlds = distinct_worlds(doc)
+        assert [serialize(world) for world, _ in worlds] == [
+            "<r><a>2</a><b>1</b></r>",
+            "<r><a>2</a><b>2</b></r>",
+            "<r><a>1</a><b>1</b></r>",
+            "<r><a>1</a><b>2</b></r>",
+        ]
+        assert [prob for _, prob in worlds] == [Fraction(1, 3)] * 2 + [Fraction(1, 6)] * 2

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+
 from repro.query.ranking import RankedAnswer, RankedItem, merge_ranked
+from .conftest import keyed_fractions
 
 
 def item(value, probability, occurrences=1):
@@ -17,6 +20,13 @@ class TestRankedAnswer:
     def test_ties_broken_by_value(self):
         answer = RankedAnswer([item("b", "1/2"), item("a", "1/2")])
         assert answer.values() == ["a", "b"]
+
+    @given(keyed_fractions())
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_the_fraction_sort(self, pairs):
+        items = [RankedItem(value, probability) for value, probability in pairs]
+        expected = sorted(items, key=lambda item: (-item.probability, item.value))
+        assert RankedAnswer(list(items)).items == expected
 
     def test_probability_of(self):
         answer = RankedAnswer([item("x", "1/3")])

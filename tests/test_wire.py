@@ -385,6 +385,72 @@ class TestFusedAnswerRoundTrip:
             wire.decode_fused_answer(garbage)
 
 
+def fused_payload(score="1/2", probability="1/2", weight="1/1"):
+    """A one-document, two-item fused answer whose fraction strings
+    repeat: the second item's ``score`` and ``probability`` slots take
+    the given (possibly malformed) values."""
+    return {
+        "strategy": "prob",
+        "documents": ["a"],
+        "weights": {"a": weight},
+        "items": [
+            {"value": "x", "score": "1/2", "sources": [["a", 1, "1/2"]]},
+            {"value": "y", "score": score, "sources": [["a", 2, probability]]},
+        ],
+    }
+
+
+class TestRepeatedFractionStrings:
+    """The answer and fused-answer decoders parse each distinct fraction
+    string once per payload; every entry is still checked, and bad
+    input raises exactly the message it always raised."""
+
+    def test_repeated_strings_decode_to_equal_fractions(self):
+        decoded = wire.decode_answer(
+            [["a", "1/3", 1], ["b", "1/3", 2], ["c", "2/6", 1], ["d", "1/3", 1]]
+        )
+        assert [item.probability for item in decoded.items] == [Fraction(1, 3)] * 4
+        assert [item.occurrences for item in decoded.items] == [1, 2, 1, 1]
+        fused = wire.decode_fused_answer(fused_payload())
+        assert [item.score for item in fused.items] == [Fraction(1, 2)] * 2
+        assert [source.probability for item in fused.items for source in item.sources] == [
+            Fraction(1, 2)
+        ] * 2
+        assert fused.weights == {"a": Fraction(1)}
+
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            ("1/2 ", "malformed fraction '1/2 '"),
+            ("1/0", "malformed fraction '1/0': zero denominator"),
+            (1, "fraction must be a string, got int"),
+            (True, "fraction must be a string, got bool"),
+            (["1/2"], "fraction must be a string, got list"),
+        ],
+    )
+    def test_bad_fraction_after_a_good_one(self, fraction, message):
+        payloads = [
+            lambda: wire.decode_answer(
+                [["a", "1/2", 1], ["b", "1/2", 1], ["c", fraction, 1]]
+            ),
+            lambda: wire.decode_fused_answer(fused_payload(score=fraction)),
+            lambda: wire.decode_fused_answer(fused_payload(probability=fraction)),
+            lambda: wire.decode_fused_answer(
+                {**fused_payload(), "weights": {"a": "1/2", "b": fraction}}
+            ),
+            lambda: wire.decode_fused_answer({**fused_payload(), "k": fraction}),
+        ]
+        for decode in payloads:
+            with pytest.raises(WireFormatError) as raised:
+                decode()
+            assert str(raised.value) == message
+
+    def test_malformed_string_repeated(self):
+        with pytest.raises(WireFormatError) as raised:
+            wire.decode_answer([["a", "1/2", 1], ["b", "x", 1], ["c", "x", 1]])
+        assert str(raised.value) == "malformed fraction 'x'"
+
+
 class TestStructRoundTrip:
     def test_node_stats(self):
         rng = random.Random(RNG_SEED + 5)
